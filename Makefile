@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check lint vet race race-hot parity store-conformance load-smoke router-smoke trace-smoke bench bench-all bench-diff bench-diff-report clean
+.PHONY: all build test check lint vet race race-hot parity store-conformance load-smoke router-smoke trace-smoke bench-test bench bench-all bench-diff bench-diff-report clean
 
 all: build
 
@@ -63,16 +63,24 @@ trace-smoke:
 	./scripts/trace_smoke.sh
 
 # Determinism contracts on their own: parallel precompute and the cached
-# scheme are bit-identical to the sequential paths, and the /v1 API is
-# byte-identical to the legacy mount. (Also covered by `race`, but this
-# target names the invariants and runs in seconds.)
+# scheme are bit-identical to the sequential paths, the golden adaptive run
+# pins every decision on the benchmark's dataset shape, the fast index,
+# Greedy and qualification selection match their reference scans, and the
+# /v1 API is byte-identical to the legacy mount. (Also covered by `race`,
+# but this target names the invariants and runs in seconds.)
 parity:
-	$(GO) test -run 'Parity|Golden|Deterministic' ./internal/ppr ./internal/core ./internal/platform
+	$(GO) test -run 'Parity|Golden|Deterministic|MatchesReference' ./internal/ppr ./internal/core ./internal/platform ./internal/assign ./internal/qualify
+
+# The end-to-end benchmark is its own module (bench/go.mod), so the root
+# `go build ./...` and `go test ./...` never compile it; this builds it
+# against the current core/platform APIs and runs its unit tests.
+bench-test:
+	cd bench && $(GO) test -short ./...
 
 # The gate a PR must pass. bench-diff runs report-only here because shared
 # CI machines are too noisy for a hard ns/op gate; run `make bench-diff`
 # on a quiet box before committing a perf-sensitive change.
-check: lint parity store-conformance race race-hot load-smoke router-smoke trace-smoke bench-diff-report
+check: lint parity bench-test store-conformance race race-hot load-smoke router-smoke trace-smoke bench-diff-report
 
 # Hot-path benchmarks -> BENCH_hotpath.json (sequential vs parallel
 # precompute, incremental scheme recompute, /assign read throughput).

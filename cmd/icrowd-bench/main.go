@@ -121,8 +121,7 @@ func main() {
 			seq,
 			par,
 			delta,
-			run("BenchmarkComputeScheme/concurrency=1", hotbench.ComputeScheme(1)),
-			run(fmt.Sprintf("BenchmarkComputeScheme/concurrency=%d", pw), hotbench.ComputeScheme(pw)),
+			run("BenchmarkComputeScheme", hotbench.ComputeScheme()),
 			assignOn,
 			assignOff,
 		},

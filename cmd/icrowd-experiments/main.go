@@ -35,7 +35,7 @@ func main() {
 		sizes     = flag.String("sizes", "", "fig10 task counts, comma separated (default 200k..1M)")
 		neighbors = flag.String("neighbors", "", "fig10 max neighbors, comma separated (default 20,40)")
 		workers   = flag.Int("workers", 0, "worker-pool size override (0 = paper default)")
-		conc      = flag.Int("concurrency", 0, "estimation/assignment fan-out (0 = GOMAXPROCS, 1 = sequential)")
+		conc      = flag.Int("concurrency", 0, "PPR basis precompute fan-out (0 = GOMAXPROCS, 1 = sequential)")
 		format    = flag.String("format", "text", "output format: text, csv, markdown")
 		mAddr     = flag.String("metrics-addr", "", "serve live run metrics (Prometheus text) on this listener while experiments run")
 		logFormat = flag.String("log-format", "text", "log output format: text or json")

@@ -62,7 +62,7 @@ func main() {
 		lease       = flag.Duration("lease", 0, "assignment lease: reclaim tasks from workers silent this long (0 disables)")
 		fsync       = flag.String("fsync", "never", "event-log fsync policy: never, always, or an integer N (fsync every N appends)")
 		snapEvery   = flag.Int("snapshot-every", 0, "snapshot+compact the event log every N appends (0 disables; requires -log)")
-		conc        = flag.Int("concurrency", 0, "estimation/assignment fan-out (0 = GOMAXPROCS, 1 = sequential)")
+		conc        = flag.Int("concurrency", 0, "PPR basis precompute fan-out (0 = GOMAXPROCS, 1 = sequential)")
 		maxInFlight = flag.Int("max-inflight", 0, "admission control: max concurrent write requests (0 disables)")
 		queueDepth  = flag.Int("queue-depth", 64, "admission control: requests allowed to wait for a slot before new arrivals are shed with 429")
 		queueTO     = flag.Duration("queue-timeout", time.Second, "admission control: max wait for admission before shedding with 429")
@@ -141,7 +141,6 @@ func main() {
 			cfg.Q = *q
 			cfg.Mode = mode
 			cfg.Seed = strategySeed
-			cfg.Concurrency = *conc
 			return core.New(ds, basis, cfg)
 		}
 		qual, err := qualify.Select(qualify.InfQF, basis, *q, strategySeed)

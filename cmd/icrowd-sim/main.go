@@ -35,7 +35,7 @@ func main() {
 		threshold = flag.Float64("threshold", 0.25, "similarity threshold")
 		alpha     = flag.Float64("alpha", 1.0, "estimation balance parameter")
 		workers   = flag.Int("workers", 0, "worker-pool size (0 = paper default)")
-		conc      = flag.Int("concurrency", 0, "estimation/assignment fan-out (0 = GOMAXPROCS, 1 = sequential)")
+		conc      = flag.Int("concurrency", 0, "PPR basis precompute fan-out (0 = GOMAXPROCS, 1 = sequential)")
 		top       = flag.Int("top", 10, "how many top workers to list")
 		mAddr     = flag.String("metrics-addr", "", "serve live run metrics (Prometheus text) on this listener while the simulation runs")
 		pprofOn   = flag.Bool("pprof", false, "mount net/http/pprof on the -metrics-addr listener")
@@ -88,7 +88,6 @@ func main() {
 		cfg.Alpha = *alpha
 		cfg.Mode = mode
 		cfg.Seed = *seed
-		cfg.Concurrency = *conc
 		ic, err := core.New(ds, basis, cfg)
 		if err != nil {
 			fail(err)

@@ -33,9 +33,7 @@ func BenchmarkPrecomputeDelta(b *testing.B) {
 // answer dirties the worker's top-set entries and the following request
 // forces the incremental scheme recomputation.
 func BenchmarkComputeScheme(b *testing.B) {
-	for _, c := range []int{1, hotbench.ParallelWorkers} {
-		b.Run(fmt.Sprintf("concurrency=%d", c), hotbench.ComputeScheme(c))
-	}
+	hotbench.ComputeScheme()(b)
 }
 
 // BenchmarkAssignThroughput measures the /assign fast path: concurrent

@@ -6,10 +6,12 @@
 package assign
 
 import (
-	"container/heap"
+	"cmp"
 	"errors"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 
 	"icrowd/internal/estimate"
 )
@@ -80,28 +82,55 @@ func sortCandidates(cs []Candidate) {
 
 // Index accelerates top-worker computation ("effective index structures",
 // Section 4.1): workers without graph evidence on a task all estimate at
-// their base accuracy, so the index keeps the active workers sorted by base
-// accuracy once and, per task, only evaluates the (few) workers with
-// evidence from the estimator's support index plus a prefix of the base
-// order.
+// their shrunk base accuracy, so the index keeps the active workers sorted
+// by base accuracy once and, per task, only evaluates the (few) workers in
+// the estimator's evidence column plus a prefix of the base order.
+//
+// The index is a snapshot of the estimator: build it after the last
+// estimator change and use it before the next. TopWorkers only reads it.
 type Index struct {
 	est    *estimate.Estimator
-	byBase []string
-	member map[string]bool
+	byBase []member
+	// slot maps an estimator worker index to its position in byBase, or -1
+	// for a worker outside the active set.
+	slot []int32
 }
 
-// NewIndex builds an index over the given active workers.
+// member is an active worker: its estimator index (-1 when the estimator
+// has never seen it), base accuracy and estimate on a task without
+// evidence.
+type member struct {
+	id    string
+	wi    int32
+	base  float64
+	prior float64
+}
+
+// NewIndex builds an index over the given active workers. It only reads
+// the estimator: active workers it has never seen estimate at DefaultBase
+// everywhere.
 func NewIndex(e *estimate.Estimator, active []string) *Index {
-	ix := &Index{est: e, byBase: append([]string(nil), active...), member: make(map[string]bool, len(active))}
-	sort.Slice(ix.byBase, func(i, j int) bool {
-		bi, bj := e.Base(ix.byBase[i]), e.Base(ix.byBase[j])
-		if bi != bj {
-			return bi > bj
+	ix := &Index{est: e, byBase: make([]member, len(active)), slot: make([]int32, e.NumWorkers())}
+	for i, w := range active {
+		m := member{id: w, wi: -1, base: estimate.DefaultBase, prior: estimate.DefaultBase}
+		if wi, ok := e.WorkerIndex(w); ok {
+			m.wi, m.base, m.prior = wi, e.Base(w), e.CellAccuracy(estimate.Cell{Worker: wi})
 		}
-		return ix.byBase[i] < ix.byBase[j]
+		ix.byBase[i] = m
+	}
+	slices.SortFunc(ix.byBase, func(a, b member) int {
+		if c := cmp.Compare(b.base, a.base); c != 0 {
+			return c
+		}
+		return strings.Compare(a.id, b.id)
 	})
-	for _, w := range ix.byBase {
-		ix.member[w] = true
+	for i := range ix.slot {
+		ix.slot[i] = -1
+	}
+	for pos, m := range ix.byBase {
+		if m.wi >= 0 {
+			ix.slot[m.wi] = int32(pos)
+		}
 	}
 	return ix
 }
@@ -109,67 +138,120 @@ func NewIndex(e *estimate.Estimator, active []string) *Index {
 // NumActive returns the number of workers in the index.
 func (ix *Index) NumActive() int { return len(ix.byBase) }
 
-// TopWorkers returns the top-k eligible workers for taskID. exclude reports
-// workers that must be skipped (the already-assigned set W^d(t_i)). The
-// result matches the reference TopWorkers over the same active set whenever
-// every worker's estimate is >= its shrunk floor — which holds because
-// workers with no evidence sit exactly at base and evidence can only move
-// support-listed workers.
+// TopWorkers returns the top-k eligible workers for taskID, ordered like
+// the reference TopWorkers. exclude reports workers that must be skipped
+// (the already-assigned set W^d(t_i)); it is consulted only for a worker
+// that would enter the set. The result matches the reference TopWorkers
+// over the same active set because workers without evidence on the task
+// sit exactly at their prior, which never increases down the base order.
 func (ix *Index) TopWorkers(taskID, k int, exclude func(string) bool) []Candidate {
 	if k <= 0 {
 		return nil
 	}
-	support := ix.est.SupportWorkers(taskID)
-	inSupport := make(map[string]bool, len(support))
-	cands := make([]Candidate, 0, k+len(support))
-	for _, w := range support {
-		if !ix.member[w] || (exclude != nil && exclude(w)) {
+	top := make([]Candidate, 0, k)
+	// inCol marks, by base-order position, the members walked in the
+	// column; a stack buffer covers up to 256 active workers.
+	var buf [4]uint64
+	inCol := buf[:]
+	if n := (len(ix.byBase) + 63) / 64; n > len(buf) {
+		inCol = make([]uint64, n)
+	}
+	for _, c := range ix.est.Column(taskID) {
+		if int(c.Worker) >= len(ix.slot) || ix.slot[c.Worker] < 0 {
 			continue
 		}
-		inSupport[w] = true
-		cands = append(cands, Candidate{Worker: w, Accuracy: ix.est.Accuracy(w, taskID)})
+		pos := ix.slot[c.Worker]
+		inCol[pos/64] |= 1 << (pos % 64)
+		top = offer(top, k, Candidate{Worker: ix.byBase[pos].id, Accuracy: ix.est.CellAccuracy(c)}, exclude)
 	}
-	// Take base-ordered workers until k non-support candidates collected;
-	// beyond that, no non-support worker can enter the top k because their
-	// accuracy equals their base, which only decreases down the list.
-	taken := 0
-	for _, w := range ix.byBase {
-		if taken >= k {
+	// Workers without evidence in base order: once one cannot enter the
+	// full set, no later one can, as their priors are no higher and equal
+	// priors sort by worker ID.
+	for i := range ix.byBase {
+		if inCol[i/64]&(1<<(i%64)) != 0 {
+			continue
+		}
+		m := &ix.byBase[i]
+		c := Candidate{Worker: m.id, Accuracy: m.prior}
+		if len(top) == k && !ranksBefore(c, top[k-1]) {
 			break
 		}
-		if inSupport[w] || (exclude != nil && exclude(w)) {
-			continue
-		}
-		cands = append(cands, Candidate{Worker: w, Accuracy: ix.est.Accuracy(w, taskID)})
-		taken++
+		top = offer(top, k, c, exclude)
 	}
-	sortCandidates(cands)
-	if k < len(cands) {
-		cands = cands[:k]
-	}
-	return cands
+	return top
 }
 
-// Greedy implements Algorithm 3 with a lazy max-heap: repeatedly pick the
-// candidate assignment with the highest average worker accuracy, then drop
-// every candidate sharing a worker with it. Runs in O(|A^c| log |A^c|) and
-// produces exactly the same scheme as the paper's O(|T|^2) formulation
-// (verified against GreedyReference in tests).
+// ranksBefore is the top-worker order: higher accuracy first, ties by
+// worker ID.
+func ranksBefore(a, b Candidate) bool {
+	if a.Accuracy != b.Accuracy {
+		return a.Accuracy > b.Accuracy
+	}
+	return a.Worker < b.Worker
+}
+
+// offer inserts c into top, a best-first set of at most k candidates,
+// unless c ranks after all k of them or exclude rejects it.
+func offer(top []Candidate, k int, c Candidate, exclude func(string) bool) []Candidate {
+	if len(top) == k && !ranksBefore(c, top[k-1]) {
+		return top
+	}
+	if exclude != nil && exclude(c.Worker) {
+		return top
+	}
+	if len(top) < k {
+		top = append(top, c)
+	}
+	i := len(top) - 1
+	for ; i > 0 && ranksBefore(c, top[i-1]); i-- {
+		top[i] = top[i-1]
+	}
+	top[i] = c
+	return top
+}
+
+// Greedy implements Algorithm 3: take the candidate assignments in
+// descending order of average worker accuracy (ties by task) and keep each
+// one that shares no worker with an assignment already kept. One sort
+// replaces the paper's repeated O(|T|) selection scans; the scheme is
+// exactly the paper's O(|T|^2) formulation (verified against
+// GreedyReference in tests).
 func Greedy(cands []CandidateAssignment) []CandidateAssignment {
-	h := make(assignmentHeap, 0, len(cands))
-	for _, c := range cands {
+	return greedyBy(cands, func(a CandidateAssignment) (float64, bool) { return a.AvgAccuracy(), true })
+}
+
+// greedyBy runs the Algorithm-3 selection over the candidates with a
+// worker set that score accepts, best score first; equal scores go by
+// task, then by input position.
+func greedyBy(cands []CandidateAssignment, score func(CandidateAssignment) (float64, bool)) []CandidateAssignment {
+	type ranked struct {
+		score float64
+		i     int
+	}
+	order := make([]ranked, 0, len(cands))
+	for i, c := range cands {
 		if len(c.Workers) == 0 {
 			continue
 		}
-		h = append(h, heapItem{score: c.AvgAccuracy(), a: c})
+		if s, ok := score(c); ok {
+			order = append(order, ranked{s, i})
+		}
 	}
-	heap.Init(&h)
+	slices.SortFunc(order, func(a, b ranked) int {
+		if c := cmp.Compare(b.score, a.score); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(cands[a.i].Task, cands[b.i].Task); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	})
 	used := map[string]bool{}
 	var out []CandidateAssignment
-	for h.Len() > 0 {
-		item := heap.Pop(&h).(heapItem)
+	for _, r := range order {
+		a := cands[r.i]
 		conflict := false
-		for _, c := range item.a.Workers {
+		for _, c := range a.Workers {
 			if used[c.Worker] {
 				conflict = true
 				break
@@ -178,36 +260,12 @@ func Greedy(cands []CandidateAssignment) []CandidateAssignment {
 		if conflict {
 			continue
 		}
-		for _, c := range item.a.Workers {
+		for _, c := range a.Workers {
 			used[c.Worker] = true
 		}
-		out = append(out, item.a)
+		out = append(out, a)
 	}
 	return out
-}
-
-type heapItem struct {
-	score float64
-	a     CandidateAssignment
-}
-
-type assignmentHeap []heapItem
-
-func (h assignmentHeap) Len() int { return len(h) }
-func (h assignmentHeap) Less(i, j int) bool {
-	if h[i].score != h[j].score {
-		return h[i].score > h[j].score
-	}
-	return h[i].a.Task < h[j].a.Task // deterministic tie-break
-}
-func (h assignmentHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *assignmentHeap) Push(x interface{}) { *h = append(*h, x.(heapItem)) }
-func (h *assignmentHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	item := old[n-1]
-	*h = old[:n-1]
-	return item
 }
 
 // GreedyReference is the paper's literal O(|T|^2) Algorithm 3, kept as the

@@ -65,7 +65,7 @@ func TestTopWorkersUsesGraphEvidence(t *testing.T) {
 
 func TestIndexMatchesReference(t *testing.T) {
 	// The index must produce identical top-worker sets as the O(|W|) scan,
-	// across random evidence patterns.
+	// across random evidence patterns and the edge cases below.
 	e := table1Estimator(t)
 	rng := rand.New(rand.NewSource(3))
 	var active []string
@@ -80,34 +80,80 @@ func TestIndexMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	ix := NewIndex(e, active)
-	if ix.NumActive() != 30 {
-		t.Fatalf("NumActive = %d", ix.NumActive())
+	// Twins registered in reverse ID order with the same base and the same
+	// evidence: their estimates tie exactly on every task.
+	for _, id := range []string{"twin-b", "twin-a"} {
+		e.EnsureWorker(id, 0.9)
+		for _, tid := range []int{0, 1, 2} {
+			_ = e.ObserveQualification(id, tid, true)
+		}
 	}
-	excluded := map[string]bool{"w03": true, "w17": true}
-	excl := func(w string) bool { return excluded[w] }
-	for tid := 0; tid < 12; tid++ {
-		for _, k := range []int{1, 3, 5} {
-			var eligible []string
-			for _, w := range active {
-				if !excluded[w] {
-					eligible = append(eligible, w)
+	// A worker who would rank first wherever they have evidence.
+	e.EnsureWorker("star", 0.95)
+	for _, tid := range []int{0, 1, 2, 6} {
+		_ = e.ObserveQualification("star", tid, true)
+	}
+	registered := e.NumWorkers()
+
+	withAll := func(extra ...string) []string {
+		return append(append([]string(nil), active...), extra...)
+	}
+	var everyThird []string
+	for i := 0; i < len(active); i += 3 {
+		everyThird = append(everyThird, active[i])
+	}
+	var crowd []string // unseen workers at DefaultBase, ranked among the rest
+	for i := 0; i < 300; i++ {
+		crowd = append(crowd, fmt.Sprintf("u%03d", i))
+	}
+	cases := []struct {
+		name     string
+		active   []string
+		excluded map[string]bool
+	}{
+		{"random", active, map[string]bool{"w03": true, "w17": true}},
+		{"ties", withAll("twin-a", "twin-b"), nil},
+		{"excluded-first", withAll("star", "twin-a"), map[string]bool{"star": true}},
+		// Active workers the estimator has never seen estimate at
+		// DefaultBase, and the index must not register them.
+		{"unseen", withAll("new-x", "new-y"), nil},
+		// Workers with evidence in the column but outside the active set.
+		{"partial-column", everyThird, map[string]bool{"w06": true}},
+		// More active workers than the index's stack buffer covers.
+		{"large-crowd", withAll(crowd...), map[string]bool{"u000": true}},
+	}
+	for _, tc := range cases {
+		ix := NewIndex(e, tc.active)
+		if ix.NumActive() != len(tc.active) {
+			t.Fatalf("%s: NumActive = %d, want %d", tc.name, ix.NumActive(), len(tc.active))
+		}
+		excl := func(w string) bool { return tc.excluded[w] }
+		var eligible []string
+		for _, w := range tc.active {
+			if !tc.excluded[w] {
+				eligible = append(eligible, w)
+			}
+		}
+		for tid := 0; tid < 12; tid++ {
+			for _, k := range []int{1, 3, 5, 40} {
+				want := TopWorkers(e, tid, k, eligible)
+				got := ix.TopWorkers(tid, k, excl)
+				if len(got) != len(want) {
+					t.Fatalf("%s task %d k %d: %v vs %v", tc.name, tid, k, got, want)
 				}
-			}
-			want := TopWorkers(e, tid, k, eligible)
-			got := ix.TopWorkers(tid, k, excl)
-			if len(got) != len(want) {
-				t.Fatalf("task %d k %d: %v vs %v", tid, k, got, want)
-			}
-			for i := range got {
-				if got[i].Worker != want[i].Worker || math.Abs(got[i].Accuracy-want[i].Accuracy) > 1e-12 {
-					t.Fatalf("task %d k %d pos %d: %v vs %v", tid, k, i, got[i], want[i])
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s task %d k %d pos %d: %v vs %v", tc.name, tid, k, i, got[i], want[i])
+					}
 				}
 			}
 		}
+		if got := ix.TopWorkers(0, 0, nil); got != nil {
+			t.Fatalf("%s: k=0 should be nil", tc.name)
+		}
 	}
-	if got := ix.TopWorkers(0, 0, nil); got != nil {
-		t.Fatal("k=0 should be nil")
+	if e.NumWorkers() != registered || e.Known("new-x") {
+		t.Fatal("the index registered workers in the estimator")
 	}
 }
 
@@ -151,10 +197,16 @@ func TestGreedyMatchesReference(t *testing.T) {
 			perm := rng.Perm(nw)
 			var ws []Candidate
 			for _, wi := range perm[:k] {
-				ws = append(ws, Candidate{Worker: fmt.Sprintf("w%d", wi), Accuracy: 0.5 + rng.Float64()/2})
+				acc := 0.5 + rng.Float64()/2
+				if seed%2 == 0 { // coarse accuracies: many exact score ties
+					acc = 0.6 + 0.1*float64(rng.Intn(3))
+				}
+				ws = append(ws, Candidate{Worker: fmt.Sprintf("w%d", wi), Accuracy: acc})
 			}
 			cands = append(cands, CandidateAssignment{Task: ti, Workers: ws})
 		}
+		// Input order differs from task order, so ties must break by task.
+		rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
 		a, b := Greedy(cands), GreedyReference(cands)
 		if len(a) != len(b) {
 			return false

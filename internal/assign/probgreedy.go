@@ -1,10 +1,6 @@
 package assign
 
-import (
-	"container/heap"
-
-	"icrowd/internal/aggregate"
-)
+import "icrowd/internal/aggregate"
 
 // SetAccuracy evaluates Eq. (1) for a candidate assignment: the probability
 // that strictly more than half of its workers answer correctly, assuming
@@ -26,38 +22,10 @@ func SetAccuracy(a CandidateAssignment) (float64, error) {
 // set sizes the orderings usually coincide, because Pr(W_t) is monotone in
 // each member accuracy.)
 func GreedyByProbability(cands []CandidateAssignment) []CandidateAssignment {
-	h := make(assignmentHeap, 0, len(cands))
-	for _, c := range cands {
-		if len(c.Workers) == 0 {
-			continue
-		}
-		p, err := SetAccuracy(c)
-		if err != nil {
-			continue
-		}
-		h = append(h, heapItem{score: p, a: c})
-	}
-	heap.Init(&h)
-	used := map[string]bool{}
-	var out []CandidateAssignment
-	for h.Len() > 0 {
-		item := heap.Pop(&h).(heapItem)
-		conflict := false
-		for _, c := range item.a.Workers {
-			if used[c.Worker] {
-				conflict = true
-				break
-			}
-		}
-		if conflict {
-			continue
-		}
-		for _, c := range item.a.Workers {
-			used[c.Worker] = true
-		}
-		out = append(out, item.a)
-	}
-	return out
+	return greedyBy(cands, func(a CandidateAssignment) (float64, bool) {
+		p, err := SetAccuracy(a)
+		return p, err == nil
+	})
 }
 
 // SchemeExpectedCorrect sums Eq. (1) over a scheme: the expected number of

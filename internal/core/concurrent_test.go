@@ -154,20 +154,6 @@ func TestConcurrentWorkers(t *testing.T) {
 	}
 }
 
-// TestConcurrencyValidation rejects a negative fan-out knob.
-func TestConcurrencyValidation(t *testing.T) {
-	ds := task.ProductMatching()
-	basis, err := BuildBasis(ds, DefaultBasisConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := DefaultConfig()
-	cfg.Concurrency = -1
-	if _, err := New(ds, basis, cfg); err == nil {
-		t.Fatal("expected Concurrency validation error")
-	}
-}
-
 // TestConcurrencySafeMarker pins the marker the platform server keys its
 // locking strategy on.
 func TestConcurrencySafeMarker(t *testing.T) {

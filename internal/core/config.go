@@ -39,11 +39,6 @@ type Config struct {
 	Mode Mode
 	// Seed drives the random choices (RandomQF selection).
 	Seed int64
-	// Concurrency bounds the fan-out of scheme recomputation: stale
-	// top-worker sets are recomputed across this many goroutines with
-	// results merged in task order (so the scheme stays deterministic).
-	// 0 uses GOMAXPROCS; 1 forces the sequential path.
-	Concurrency int
 	// Eligible optionally restricts which (worker, task) assignments are
 	// permitted — e.g. in replay evaluation, a worker can only be assigned
 	// microtasks whose answer was collected from them (Section 6.1: "Based

@@ -73,13 +73,12 @@ type ICrowd struct {
 	// Hot-path instruments (nil when metrics are disabled via
 	// WithMetrics(nil); every method on a nil instrument no-ops).
 	// reqSample gates RequestTask latency sampling; see RequestTask.
-	reqSample    atomic.Bool
-	mReqLat      *obsv.Histogram // RequestTask latency (sampled)
-	mSchemeLat   *obsv.Histogram // recomputeScheme latency (actual runs)
-	mSchemeRuns  *obsv.Counter   // recomputeScheme actual runs
-	mStaleTasks  *obsv.Gauge     // stale top-worker sets in the last run
-	mPoolWorkers *obsv.Gauge     // pool fan-out of the last run
-	schemeBeat   *obsv.Heartbeat // beaten by every completed recompute
+	reqSample   atomic.Bool
+	mReqLat     *obsv.Histogram // RequestTask latency (sampled)
+	mSchemeLat  *obsv.Histogram // recomputeScheme latency (actual runs)
+	mSchemeRuns *obsv.Counter   // recomputeScheme actual runs
+	mStaleTasks *obsv.Gauge     // stale top-worker sets in the last run
+	schemeBeat  *obsv.Heartbeat // beaten by every completed recompute
 }
 
 type workerInfo struct {
@@ -106,9 +105,6 @@ func New(ds *task.Dataset, basis *ppr.Basis, cfg Config, opts ...Option) (*ICrow
 	}
 	if cfg.K < 1 {
 		return nil, errors.New("core: K must be >= 1")
-	}
-	if cfg.Concurrency < 0 {
-		return nil, errors.New("core: Concurrency must be >= 0")
 	}
 	switch cfg.Mode {
 	case ModeAdapt, ModeQFOnly, ModeBestEffort:
@@ -164,7 +160,7 @@ func New(ds *task.Dataset, basis *ppr.Basis, cfg Config, opts ...Option) (*ICrow
 		lazyGraph: no.lazyGraph,
 		workers:   map[string]*workerInfo{},
 		scheme:    map[string]int{},
-		sched:     newScheduler(no.schemeCache, cfg.Concurrency),
+		sched:     newScheduler(no.schemeCache),
 	}
 	reg := no.metrics
 	if !no.metricsSet {
@@ -179,8 +175,6 @@ func New(ds *task.Dataset, basis *ppr.Basis, cfg Config, opts ...Option) (*ICrow
 		"Algorithm-2 scheme recomputations that actually ran (dirty flag won).")
 	ic.mStaleTasks = reg.Gauge("icrowd_core_scheme_stale_tasks",
 		"Stale top-worker sets recomputed by the last Algorithm-2 run.")
-	ic.mPoolWorkers = reg.Gauge("icrowd_core_scheme_pool_workers",
-		"Solver-pool fan-out of the last Algorithm-2 run.")
 	ic.schemeBeat = obsv.NewHeartbeat(reg.Gauge("icrowd_core_scheme_heartbeat_timestamp_seconds",
 		"Unix time of the last completed Algorithm-2 scheme recomputation."))
 	ic.schemeDirty.Store(true)
@@ -456,9 +450,10 @@ func (ic *ICrowd) performanceTest(worker string, info *workerInfo) (int, bool) {
 		if wasQual[t] {
 			continue
 		}
-		var accs []float64
-		for _, v := range ic.job.Votes(t) {
-			accs = append(accs, ic.est.Accuracy(v.Worker, t))
+		votes := ic.job.Votes(t)
+		accs := make([]float64, len(votes))
+		for i, v := range votes {
+			accs[i] = ic.est.Accuracy(v.Worker, t)
 		}
 		eligible = append(eligible, assign.TestTask{Task: t, AssignedAccuracies: accs})
 	}

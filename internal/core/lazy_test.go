@@ -65,7 +65,6 @@ func TestLazyBasisMatchesFullBasis(t *testing.T) {
 	ds, g, full := lazySetup(t)
 	qual := []int{0, 3, 6}
 	cfg := DefaultConfig()
-	cfg.Concurrency = 1
 	workers := make([]string, 6)
 	for i := range workers {
 		workers[i] = fmt.Sprintf("w%02d", i)

@@ -1,9 +1,7 @@
 package core
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"icrowd/internal/assign"
 )
@@ -49,28 +47,23 @@ func (l *eventLog) drain() map[int]bool {
 // The rules are conservative: a cached set is reused only when the fresh
 // computation would provably return the same candidates, so the incremental
 // scheme is identical to a from-scratch run (verified in tests). Stale sets
-// are recomputed across a bounded worker pool (Config.Concurrency) and
-// merged in task order, keeping the result deterministic.
+// are recomputed in task order on the calling goroutine.
 type scheduler struct {
 	cacheEnabled bool
-	concurrency  int
 
 	cands  map[int][]assign.Candidate // task -> unfiltered top worker set
 	kPrime map[int]int                // capacity the entry was computed for
 	active map[string]bool            // active set the entries were computed over
 }
 
-func newScheduler(cacheEnabled bool, concurrency int) *scheduler {
-	return &scheduler{cacheEnabled: cacheEnabled, concurrency: concurrency}
+func newScheduler(cacheEnabled bool) *scheduler {
+	return &scheduler{cacheEnabled: cacheEnabled}
 }
 
 func (s *scheduler) invalidate(t int) {
 	delete(s.cands, t)
 	delete(s.kPrime, t)
 }
-
-// schemeChunk is how many stale tasks a pool worker claims at a time.
-const schemeChunk = 8
 
 // compute runs Algorithm 2 steps 1-2 over the given active workers and
 // returns the worker -> task scheme. The caller holds ic.recomputeMu and at
@@ -153,46 +146,12 @@ func (s *scheduler) compute(ic *ICrowd, active []string, events map[int]bool) ma
 	ic.mStaleTasks.Set(float64(len(stale)))
 	if len(stale) > 0 {
 		ix := assign.NewIndex(est, active)
-		results := make([][]assign.Candidate, len(stale))
-		solve := func(k int) {
-			t := stale[k].t
-			results[k] = ix.TopWorkers(t, stale[k].kp, func(w string) bool {
+		for _, st := range stale {
+			t := st.t
+			s.cands[t] = ix.TopWorkers(t, st.kp, func(w string) bool {
 				return job.Touched(w, t) || !ic.eligible(w, t)
 			})
-		}
-		workers := s.workerCount(len(stale))
-		ic.mPoolWorkers.Set(float64(workers))
-		if workers == 1 {
-			for k := range stale {
-				solve(k)
-			}
-		} else {
-			var cursor atomic.Int64
-			var wg sync.WaitGroup
-			for i := 0; i < workers; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						start := int(cursor.Add(schemeChunk)) - schemeChunk
-						if start >= len(stale) {
-							return
-						}
-						end := start + schemeChunk
-						if end > len(stale) {
-							end = len(stale)
-						}
-						for k := start; k < end; k++ {
-							solve(k)
-						}
-					}
-				}()
-			}
-			wg.Wait()
-		}
-		for k, st := range stale {
-			s.cands[st.t] = results[k]
-			s.kPrime[st.t] = st.kp
+			s.kPrime[t] = st.kp
 		}
 	}
 
@@ -226,20 +185,4 @@ func (s *scheduler) compute(ic *ICrowd, active []string, events map[int]bool) ma
 		}
 	}
 	return scheme
-}
-
-// workerCount resolves the concurrency knob against the number of stale
-// tasks: 0 uses GOMAXPROCS, 1 forces the sequential path.
-func (s *scheduler) workerCount(n int) int {
-	w := s.concurrency
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }

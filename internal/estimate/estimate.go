@@ -40,17 +40,22 @@ const DefaultBase = 0.5
 
 // Estimator tracks per-worker observations and produces accuracy estimates.
 //
+// Evidence is stored task-major: workers are interned to dense indices,
+// and each task keeps one Cell per worker with observation mass on it,
+// ascending by worker index. Storage is proportional to the evidence, not
+// to workers x tasks, and the top-worker index (Section 4.1) reads a
+// task's candidates and their estimates from one contiguous column.
+//
 // The estimator also tracks which workers' answer sets changed since the
 // last DirtyReset — the change feed the scheme scheduler (core) uses to
 // recombine accuracy vectors only for workers that actually moved, instead
 // of recomputing every top worker set per event.
 type Estimator struct {
-	basis  *ppr.Basis
-	lambda float64
-	ws     map[string]*workerState
-	// support[taskID] = workers with nonzero observation mass on the task,
-	// the index behind instant top-worker computation (Section 4.1).
-	support map[int]map[string]bool
+	basis   *ppr.Basis
+	lambda  float64
+	index   map[string]int32 // worker ID -> interned index into workers
+	workers []workerState
+	cols    [][]Cell // task -> evidence cells, ascending by Cell.Worker
 
 	// dirtyW are workers whose observations changed since the last reset;
 	// dirtyT are the tasks on which some worker's estimate changed (the
@@ -63,10 +68,18 @@ type Estimator struct {
 }
 
 type workerState struct {
+	id       string
 	base     float64
 	observed map[int]float64 // task -> q_i^w
-	num      map[int]float64 // sum_j q_j p_{t_j}(i)
-	den      map[int]float64 // sum_j p_{t_j}(i)
+}
+
+// Cell is one worker's accumulated evidence on one task: the numerator
+// sum_j q_j p_{t_j}(i) and the observation mass sum_j p_{t_j}(i) of the
+// estimate.
+type Cell struct {
+	// Worker is the worker's interned index (see WorkerIndex).
+	Worker   int32
+	num, den float64
 }
 
 // New creates an estimator over the precomputed basis. lambda <= 0 falls
@@ -76,12 +89,12 @@ func New(basis *ppr.Basis, lambda float64) *Estimator {
 		lambda = DefaultLambda
 	}
 	return &Estimator{
-		basis:   basis,
-		lambda:  lambda,
-		ws:      make(map[string]*workerState),
-		support: make(map[int]map[string]bool),
-		dirtyW:  make(map[string]bool),
-		dirtyT:  make(map[int]bool),
+		basis:  basis,
+		lambda: lambda,
+		index:  make(map[string]int32),
+		cols:   make([][]Cell, basis.N()),
+		dirtyW: make(map[string]bool),
+		dirtyT: make(map[int]bool),
 	}
 }
 
@@ -91,15 +104,15 @@ func (e *Estimator) NumTasks() int { return e.basis.N() }
 // EnsureWorker registers a worker with the given warm-up base accuracy if
 // unknown; it returns whether the worker was newly added.
 func (e *Estimator) EnsureWorker(id string, base float64) bool {
-	if _, ok := e.ws[id]; ok {
+	if _, ok := e.index[id]; ok {
 		return false
 	}
-	e.ws[id] = &workerState{
+	e.index[id] = int32(len(e.workers))
+	e.workers = append(e.workers, workerState{
+		id:       id,
 		base:     stats.Clamp01(base),
 		observed: map[int]float64{},
-		num:      map[int]float64{},
-		den:      map[int]float64{},
-	}
+	})
 	e.dirtyW[id] = true
 	return true
 }
@@ -108,12 +121,11 @@ func (e *Estimator) EnsureWorker(id string, base float64) bool {
 // worker's estimate on every task, so it marks the whole estimator dirty.
 func (e *Estimator) SetBase(id string, base float64) {
 	if e.EnsureWorker(id, base) {
-		e.dirtyW[id] = true
 		return
 	}
-	base = stats.Clamp01(base)
-	if e.ws[id].base != base {
-		e.ws[id].base = base
+	w := &e.workers[e.index[id]]
+	if base = stats.Clamp01(base); w.base != base {
+		w.base = base
 		e.dirtyW[id] = true
 		e.dirtyAll = true
 	}
@@ -121,26 +133,47 @@ func (e *Estimator) SetBase(id string, base float64) {
 
 // Base returns the worker's warm-up base accuracy (DefaultBase if unknown).
 func (e *Estimator) Base(id string) float64 {
-	if w, ok := e.ws[id]; ok {
-		return w.base
+	if wi, ok := e.index[id]; ok {
+		return e.workers[wi].base
 	}
 	return DefaultBase
 }
 
 // Known reports whether the worker has been registered.
 func (e *Estimator) Known(id string) bool {
-	_, ok := e.ws[id]
+	_, ok := e.index[id]
 	return ok
 }
 
 // Workers returns all registered worker IDs, sorted.
 func (e *Estimator) Workers() []string {
-	out := make([]string, 0, len(e.ws))
-	for id := range e.ws {
-		out = append(out, id)
+	out := make([]string, len(e.workers))
+	for i, w := range e.workers {
+		out[i] = w.id
 	}
 	sort.Strings(out)
 	return out
+}
+
+// NumWorkers returns the number of registered workers; interned indices
+// run from 0 to NumWorkers()-1 in registration order.
+func (e *Estimator) NumWorkers() int { return len(e.workers) }
+
+// WorkerIndex returns the interned index of a registered worker.
+func (e *Estimator) WorkerIndex(id string) (int32, bool) {
+	wi, ok := e.index[id]
+	return wi, ok
+}
+
+// Column returns the evidence on taskID: one cell per worker with
+// observation mass there, ascending by worker index. Workers without a
+// cell estimate at their shrunk base (CellAccuracy of an empty cell). The
+// slice is shared: read-only, and valid until the next Observe.
+func (e *Estimator) Column(taskID int) []Cell {
+	if taskID < 0 || taskID >= len(e.cols) {
+		return nil
+	}
+	return e.cols[taskID]
 }
 
 // mUnconvergedReads counts observations folded in through a basis vector
@@ -153,7 +186,8 @@ var mUnconvergedReads = obsv.Default().Counter("icrowd_estimate_unconverged_basi
 
 // Observe records observed accuracy q for worker id on a globally completed
 // microtask, updating the cached combination incrementally. Re-observing a
-// task replaces the previous value.
+// task replaces the previous value: the numerators move by the difference
+// and the observation mass stays.
 func (e *Estimator) Observe(id string, taskID int, q float64) error {
 	if taskID < 0 || taskID >= e.basis.N() {
 		return errors.New("estimate: task out of range")
@@ -163,40 +197,67 @@ func (e *Estimator) Observe(id string, taskID int, q float64) error {
 	}
 	q = stats.Clamp01(q)
 	e.EnsureWorker(id, DefaultBase)
-	w := e.ws[id]
-	vec := e.basis.Vec(taskID)
-	if old, ok := w.observed[taskID]; ok {
-		delta := q - old
-		if delta != 0 {
-			for t, p := range vec {
-				w.num[t] += delta * p
-			}
-			e.markDirty(id, vec)
+	wi := e.index[id]
+	observed := e.workers[wi].observed
+	old, seen := observed[taskID]
+	observed[taskID] = q
+	dq := q
+	if seen {
+		if dq = q - old; dq == 0 {
+			return nil
 		}
-	} else {
-		for t, p := range vec {
-			w.num[t] += q * p
-			w.den[t] += p
-			set, ok := e.support[t]
-			if !ok {
-				set = map[string]bool{}
-				e.support[t] = set
-			}
-			set[id] = true
-		}
-		e.markDirty(id, vec)
 	}
-	w.observed[taskID] = q
+	if n := e.basis.N(); n > len(e.cols) { // the basis was Extended
+		e.cols = append(e.cols, make([][]Cell, n-len(e.cols))...)
+	}
+	for t, p := range e.basis.Vec(taskID) {
+		c := e.cell(t, wi)
+		c.num += dq * p
+		if !seen {
+			c.den += p
+		}
+		e.dirtyT[t] = true
+	}
+	e.dirtyW[id] = true
 	return nil
 }
 
-// markDirty records that the worker's estimate moved on every task in the
-// basis vector's support.
-func (e *Estimator) markDirty(id string, vec map[int]float64) {
-	e.dirtyW[id] = true
-	for t := range vec {
-		e.dirtyT[t] = true
+// find returns the position of worker wi's cell in col, or where it would
+// be inserted, and whether it exists.
+func find(col []Cell, wi int32) (int, bool) {
+	lo, hi := 0, len(col)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if col[m].Worker < wi {
+			lo = m + 1
+		} else {
+			hi = m
+		}
 	}
+	return lo, lo < len(col) && col[lo].Worker == wi
+}
+
+// cell returns worker wi's cell on task t, inserting an empty one in
+// worker order if there is none.
+func (e *Estimator) cell(t int, wi int32) *Cell {
+	col := e.cols[t]
+	i, ok := find(col, wi)
+	if !ok {
+		col = append(col, Cell{})
+		copy(col[i+1:], col[i:])
+		col[i] = Cell{Worker: wi}
+		e.cols[t] = col
+	}
+	return &col[i]
+}
+
+// evidence returns worker wi's cell on taskID, or an empty cell.
+func (e *Estimator) evidence(wi int32, taskID int) Cell {
+	col := e.Column(taskID)
+	if i, ok := find(col, wi); ok {
+		return col[i]
+	}
+	return Cell{Worker: wi}
 }
 
 // DirtyWorkers returns the workers whose answer sets (or bases) changed
@@ -322,21 +383,25 @@ func (e *Estimator) ObserveConsensus(taskID int, votes []aggregate.Vote, consens
 // Accuracy returns the estimated accuracy p_i^w of worker id on taskID.
 // Unregistered workers estimate at DefaultBase.
 func (e *Estimator) Accuracy(id string, taskID int) float64 {
-	w, ok := e.ws[id]
+	wi, ok := e.index[id]
 	if !ok {
 		return DefaultBase
 	}
-	num := w.num[taskID]
-	den := w.den[taskID]
-	return stats.Clamp01((num + e.lambda*w.base) / (den + e.lambda))
+	return e.CellAccuracy(e.evidence(wi, taskID))
+}
+
+// CellAccuracy returns the estimate p_i^w that cell c of a Column stands
+// for; Cell{Worker: wi} is the estimate of a worker without evidence.
+func (e *Estimator) CellAccuracy(c Cell) float64 {
+	return stats.Clamp01((c.num + e.lambda*e.workers[c.Worker].base) / (c.den + e.lambda))
 }
 
 // Mass returns the total observation mass sum_j p_{t_j}(taskID) that worker
 // id's completed microtasks project onto taskID — the graph-evidence weight
 // behind the estimate.
 func (e *Estimator) Mass(id string, taskID int) float64 {
-	if w, ok := e.ws[id]; ok {
-		return w.den[taskID]
+	if wi, ok := e.index[id]; ok {
+		return e.evidence(wi, taskID).den
 	}
 	return 0
 }
@@ -347,14 +412,15 @@ func (e *Estimator) Mass(id string, taskID int) float64 {
 // on itself, so dividing by it calibrates "one completed microtask at the
 // seed" to one effective count.
 func (e *Estimator) EffectiveCounts(id string, taskID int) (n1, n0 float64) {
-	w, ok := e.ws[id]
+	wi, ok := e.index[id]
 	if !ok {
 		return 0, 0
 	}
+	c := e.evidence(wi, taskID)
 	o := e.basis.Options()
 	restart := o.Alpha / (1 + o.Alpha)
-	num := w.num[taskID] / restart
-	den := w.den[taskID] / restart
+	num := c.num / restart
+	den := c.den / restart
 	if num < 0 {
 		num = 0
 	}
@@ -373,12 +439,12 @@ func (e *Estimator) Uncertainty(id string, taskID int) float64 {
 
 // Observed returns a copy of the worker's observed accuracies q^w.
 func (e *Estimator) Observed(id string) map[int]float64 {
-	w, ok := e.ws[id]
+	wi, ok := e.index[id]
 	if !ok {
 		return nil
 	}
-	out := make(map[int]float64, len(w.observed))
-	for k, v := range w.observed {
+	out := make(map[int]float64, len(e.workers[wi].observed))
+	for k, v := range e.workers[wi].observed {
 		out[k] = v
 	}
 	return out
@@ -386,25 +452,12 @@ func (e *Estimator) Observed(id string) map[int]float64 {
 
 // HasObserved reports whether worker id has an observation on taskID.
 func (e *Estimator) HasObserved(id string, taskID int) bool {
-	w, ok := e.ws[id]
+	wi, ok := e.index[id]
 	if !ok {
 		return false
 	}
-	_, ok = w.observed[taskID]
+	_, ok = e.workers[wi].observed[taskID]
 	return ok
-}
-
-// SupportWorkers returns the workers with nonzero observation mass on
-// taskID, sorted — the candidate set the top-worker index consults before
-// falling back to base-accuracy order.
-func (e *Estimator) SupportWorkers(taskID int) []string {
-	set := e.support[taskID]
-	out := make([]string, 0, len(set))
-	for id := range set {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // BasisResult exposes how the basis solve for taskID terminated, so
@@ -417,9 +470,9 @@ func (e *Estimator) BasisResult(taskID int) ppr.Result {
 // RawCombine returns the paper's unnormalized Lemma-3 combination
 // sum_j q_j p_{t_j} for worker id, for verification against ppr.DenseSolve.
 func (e *Estimator) RawCombine(id string) map[int]float64 {
-	w, ok := e.ws[id]
+	wi, ok := e.index[id]
 	if !ok {
 		return nil
 	}
-	return e.basis.Combine(w.observed)
+	return e.basis.Combine(e.workers[wi].observed)
 }

@@ -2,11 +2,13 @@ package estimate
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"icrowd/internal/aggregate"
 	"icrowd/internal/ppr"
 	"icrowd/internal/simgraph"
+	"icrowd/internal/stats"
 	"icrowd/internal/task"
 )
 
@@ -123,6 +125,36 @@ func TestObserveReplacesValue(t *testing.T) {
 	if got := e.Mass("w", 3); math.Abs(got-m) > 1e-12 {
 		t.Fatalf("mass changed on re-observation: %v vs %v", got, m)
 	}
+
+	// After a random observe/re-observe sequence over several workers,
+	// every estimate equals a from-scratch combination of the worker's
+	// current observations.
+	rng := rand.New(rand.NewSource(7))
+	ids := []string{"w", "x", "y", "z"}
+	for _, id := range ids[1:] {
+		e.EnsureWorker(id, 0.3+0.6*rng.Float64())
+	}
+	for i := 0; i < 200; i++ {
+		id := ids[rng.Intn(len(ids))]
+		if err := e.Observe(id, rng.Intn(e.NumTasks()), rng.Float64()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, id := range ids {
+		obs := e.Observed(id)
+		for tid := 0; tid < e.NumTasks(); tid++ {
+			var num, den float64
+			for j, q := range obs {
+				p := e.basis.Vec(j)[tid]
+				num += q * p
+				den += p
+			}
+			want := stats.Clamp01((num + DefaultLambda*e.Base(id)) / (den + DefaultLambda))
+			if got := e.Accuracy(id, tid); math.Abs(got-want) > 1e-12 {
+				t.Fatalf("worker %s task %d: Accuracy %v, from scratch %v", id, tid, got, want)
+			}
+		}
+	}
 }
 
 func TestObserveOutOfRange(t *testing.T) {
@@ -235,12 +267,15 @@ func TestMassAndSupport(t *testing.T) {
 	if e.Mass("ghost", 0) != 0 {
 		t.Fatal("unknown worker should have zero mass")
 	}
-	sup := e.SupportWorkers(3)
-	if len(sup) != 1 || sup[0] != "a" {
-		t.Fatalf("SupportWorkers(3) = %v", sup)
+	col := e.Column(3)
+	if a, _ := e.WorkerIndex("a"); len(col) != 1 || col[0].Worker != a {
+		t.Fatalf("Column(3) = %v, want one cell for a", col)
 	}
-	if got := e.SupportWorkers(10); len(got) != 0 {
-		t.Fatalf("SupportWorkers(10) = %v, want empty (t11 is isolated)", got)
+	if got := e.CellAccuracy(col[0]); got != e.Accuracy("a", 3) {
+		t.Fatalf("CellAccuracy = %v, Accuracy = %v", got, e.Accuracy("a", 3))
+	}
+	if got := e.Column(10); len(got) != 0 {
+		t.Fatalf("Column(10) = %v, want empty (t11 is isolated)", got)
 	}
 }
 

@@ -162,9 +162,9 @@ type Options struct {
 	Alpha float64
 	// Workers overrides the pool size (default: paper's per-dataset size).
 	Workers int
-	// Concurrency bounds the estimation/assignment hot path's fan-out
-	// (core.Config.Concurrency and the PPR precompute pool): 0 uses
-	// GOMAXPROCS, 1 forces the sequential paths.
+	// Concurrency bounds the PPR basis precompute pool
+	// (core.BasisConfig.Workers): 0 uses GOMAXPROCS, 1 forces the
+	// sequential solver.
 	Concurrency int
 }
 

@@ -121,7 +121,6 @@ func icrowdFactory(ds *task.Dataset, basis *ppr.Basis, opt Options, mode core.Mo
 		cfg.Mode = mode
 		cfg.QualStrategy = qs
 		cfg.Seed = runSeed
-		cfg.Concurrency = opt.Concurrency
 		if pool != nil {
 			cfg.Eligible = pool.Eligible()
 		}

@@ -123,10 +123,8 @@ func qualified(b *testing.B, ds *task.Dataset, basis *ppr.Basis, cfg core.Config
 // ComputeScheme returns the BenchmarkComputeScheme body: each iteration
 // submits one answer (dirtying the submitting worker's top-set entries)
 // and requests the next microtask, which forces the incremental scheme
-// recomputation — the dominant cost of a mid-job adaptive round. The
-// concurrency knob is core.Config.Concurrency; 1 forces the sequential
-// recompute path.
-func ComputeScheme(concurrency int) func(*testing.B) {
+// recomputation — the dominant cost of a mid-job adaptive round.
+func ComputeScheme() func(*testing.B) {
 	return func(b *testing.B) {
 		ds, g, err := Graph()
 		if err != nil {
@@ -137,7 +135,6 @@ func ComputeScheme(concurrency int) func(*testing.B) {
 			b.Fatal(err)
 		}
 		cfg := core.DefaultConfig()
-		cfg.Concurrency = concurrency
 		ids := pool(24)
 		ic := qualified(b, ds, basis, cfg, ids)
 		b.ResetTimer()

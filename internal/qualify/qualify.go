@@ -65,6 +65,9 @@ func InfluenceSoft(b *ppr.Basis, qual []int) float64 {
 // additional picks inside large clusters (with diminishing returns), which
 // is what makes the selected qualification microtasks "focused" on the
 // individual domains, as Section 6.3.1 describes.
+//
+// Each task's coverage row is built once per call, ascending by covered
+// task: the order every gain is summed in.
 func SelectGreedy(b *ppr.Basis, q int) ([]int, error) {
 	if q < 1 {
 		return nil, errors.New("qualify: q must be >= 1")
@@ -72,25 +75,42 @@ func SelectGreedy(b *ppr.Basis, q int) ([]int, error) {
 	n := b.N()
 	o := b.Options()
 	restart := o.Alpha / (1 + o.Alpha)
-	weight := func(t, j int) float64 {
-		w := b.Vec(t)[j] / restart
-		if w > 1 {
-			w = 1
+	type coverage struct {
+		j int     // covered task
+		w float64 // min(1, p_t(j)/restart)
+	}
+	rows := make([][]coverage, n)
+	buf := make([]coverage, 0, b.NNZ())
+	var js []int
+	for t := range rows {
+		vec := b.Vec(t)
+		js = js[:0]
+		for j := range vec {
+			js = append(js, j)
 		}
-		return w
+		sort.Ints(js)
+		start := len(buf)
+		for _, j := range js {
+			w := vec[j] / restart
+			if w > 1 {
+				w = 1
+			}
+			buf = append(buf, coverage{j, w})
+		}
+		rows[t] = buf[start:]
 	}
 	cov := make([]float64, n)
 	chosen := make([]int, 0, q)
-	inChosen := make(map[int]bool, q)
+	inChosen := make([]bool, n)
 	for len(chosen) < q && len(chosen) < n {
 		best, bestGain := -1, -1.0
-		for t := 0; t < n; t++ {
+		for t, row := range rows {
 			if inChosen[t] {
 				continue
 			}
 			var gain float64
-			for _, j := range b.Support(t) {
-				gain += (1 - cov[j]) * weight(t, j)
+			for _, c := range row {
+				gain += (1 - cov[c.j]) * c.w
 			}
 			if gain > bestGain+1e-12 {
 				best, bestGain = t, gain
@@ -101,8 +121,8 @@ func SelectGreedy(b *ppr.Basis, q int) ([]int, error) {
 		}
 		chosen = append(chosen, best)
 		inChosen[best] = true
-		for _, j := range b.Support(best) {
-			cov[j] = 1 - (1-cov[j])*(1-weight(best, j))
+		for _, c := range rows[best] {
+			cov[c.j] = 1 - (1-cov[c.j])*(1-c.w)
 		}
 	}
 	sort.Ints(chosen)

@@ -1,6 +1,8 @@
 package qualify
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"icrowd/internal/ppr"
@@ -267,5 +269,73 @@ func TestInfluenceSoft(t *testing.T) {
 	}
 	if InfluenceSoft(b, chosen) < InfluenceSoft(b, []int{0, 3, 4}) {
 		t.Fatal("greedy soft influence below a same-cluster pick")
+	}
+}
+
+// selectGreedyReference is SelectGreedy as Algorithm 4 reads: every pick
+// rescans each task's sorted support and reads its weights from the basis
+// vector. It is the oracle the one-pass SelectGreedy is checked against.
+func selectGreedyReference(b *ppr.Basis, q int) []int {
+	n := b.N()
+	o := b.Options()
+	restart := o.Alpha / (1 + o.Alpha)
+	weight := func(t, j int) float64 {
+		w := b.Vec(t)[j] / restart
+		if w > 1 {
+			w = 1
+		}
+		return w
+	}
+	cov := make([]float64, n)
+	chosen := make([]int, 0, q)
+	inChosen := make(map[int]bool, q)
+	for len(chosen) < q && len(chosen) < n {
+		best, bestGain := -1, -1.0
+		for t := 0; t < n; t++ {
+			if inChosen[t] {
+				continue
+			}
+			var gain float64
+			for _, j := range b.Support(t) {
+				gain += (1 - cov[j]) * weight(t, j)
+			}
+			if gain > bestGain+1e-12 {
+				best, bestGain = t, gain
+			}
+		}
+		if best < 0 {
+			break
+		}
+		chosen = append(chosen, best)
+		inChosen[best] = true
+		for _, j := range b.Support(best) {
+			cov[j] = 1 - (1-cov[j])*(1-weight(best, j))
+		}
+	}
+	sort.Ints(chosen)
+	return chosen
+}
+
+// TestSelectGreedyMatchesReference pins SelectGreedy's picks to the
+// reference scan on both evaluation datasets' graphs.
+func TestSelectGreedyMatchesReference(t *testing.T) {
+	for _, ds := range []*task.Dataset{task.GenerateItemCompare(1), task.GenerateYahooQA(1)} {
+		g, err := simgraph.Build(ds.Len(), simgraph.JaccardMetric(ds), 0.25, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := ppr.Precompute(g, ppr.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []int{1, 10, 30} {
+			got, err := SelectGreedy(b, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := selectGreedyReference(b, q); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s q=%d: SelectGreedy %v, reference %v", ds.Name, q, got, want)
+			}
+		}
 	}
 }
