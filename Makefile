@@ -63,13 +63,14 @@ trace-smoke:
 	./scripts/trace_smoke.sh
 
 # Determinism contracts on their own: parallel precompute and the cached
-# scheme are bit-identical to the sequential paths, the golden adaptive run
-# pins every decision on the benchmark's dataset shape, the fast index,
-# Greedy and qualification selection match their reference scans, and the
-# /v1 API is byte-identical to the legacy mount. (Also covered by `race`,
+# scheme are bit-identical to the sequential paths, the golden adaptive and
+# baseline runs pin every decision on the benchmark's dataset shape, the
+# job bookkeeping, fast index, Greedy and qualification selection match
+# their reference implementations, and the /v1 API is byte-identical to
+# the legacy mount. (Also covered by `race`,
 # but this target names the invariants and runs in seconds.)
 parity:
-	$(GO) test -run 'Parity|Golden|Deterministic|MatchesReference' ./internal/ppr ./internal/core ./internal/platform ./internal/assign ./internal/qualify
+	$(GO) test -run 'Parity|Golden|Deterministic|MatchesReference' ./internal/ppr ./internal/core ./internal/baseline ./internal/platform ./internal/assign ./internal/qualify
 
 # The end-to-end benchmark is its own module (bench/go.mod), so the root
 # `go build ./...` and `go test ./...` never compile it; this builds it

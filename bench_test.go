@@ -231,7 +231,7 @@ func BenchmarkTopWorkersIndexed(b *testing.B) {
 	ix := assign.NewIndex(est, ids)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if got := ix.TopWorkers(i%ds.Len(), 3, nil); len(got) != 3 {
+		if got := ix.TopWorkers(nil, i%ds.Len(), 3, nil); len(got) != 3 {
 			b.Fatal("bad top set")
 		}
 	}

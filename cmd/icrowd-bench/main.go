@@ -127,17 +127,11 @@ func main() {
 		},
 		PrecomputeSpeedup:      float64(seq.NsPerOp) / float64(par.NsPerOp),
 		SpeedupTarget:          2.0,
-		SpeedupStatus:          benchfmt.SpeedupEnforced,
+		SpeedupStatus:          benchfmt.SpeedupStatusFor(runtime.NumCPU(), pw),
 		PrecomputeDeltaSpeedup: float64(seq.NsPerOp) / float64(delta.NsPerOp),
 		DeltaSpeedupTarget:     10.0,
 		AssignMetricsOverhead:  overhead,
 		MetricsOverheadBudget:  0.05,
-	}
-	// An 8-way pool on one core can only measure ~1.0x: mark the speedup
-	// explicitly non-enforceable instead of committing a silently passing
-	// (or failing) number that a gate might read.
-	if rep.NumCPU == 1 {
-		rep.SpeedupStatus = benchfmt.SpeedupSkipped1Core
 	}
 	if rep.NumCPU < pw {
 		rep.Note = fmt.Sprintf("measured on %d core(s); the >=%.0fx precompute speedup target assumes >=%d cores backing the %d-way solver pool",

@@ -7,11 +7,12 @@
 // never fail the gate — the suite legitimately grows across PRs.
 //
 // The precompute speedup target is machine-enforced only when the new
-// report was measured on more than one core: an 8-way solver pool on a
-// 1-core runner can only ever measure ~1.0x, so such reports carry
-// precompute_speedup_status "skipped (1 core)" and the gate says so
-// instead of silently passing a meaningless number. The delta-solve
-// speedup is a single-thread ratio and is enforced on any core count.
+// report was measured with a core for every solver-pool worker: an 8-way
+// pool on fewer cores measures the hardware (~1.0x on one core, ~1.9x on
+// two), so such reports carry a precompute_speedup_status such as
+// "skipped (2 of 8 cores)" and the gate says so instead of failing or
+// silently passing on a meaningless number. The delta-solve speedup is a
+// single-thread ratio and is enforced on any core count.
 //
 // Usage:
 //
@@ -109,8 +110,8 @@ func diff(oldRep, newRep *benchfmt.Report, nsThreshold, allocThreshold float64) 
 
 // gateSpeedups checks the report-level headline figures of the new report
 // and returns human-readable failures. The pool speedup is checked only
-// when the report says it is enforceable (multi-core runner); the delta
-// speedup always.
+// when the report says it is enforceable (a core per pool worker); the
+// delta speedup always.
 func gateSpeedups(rep *benchfmt.Report) (failures []string) {
 	if rep.SpeedupTarget > 0 && rep.SpeedupStatus == benchfmt.SpeedupEnforced &&
 		rep.PrecomputeSpeedup < rep.SpeedupTarget {

@@ -254,14 +254,22 @@ func TestGateSpeedups(t *testing.T) {
 			name: "1-core skipped status never fails the speedup gate",
 			rep: benchfmt.Report{
 				NumCPU: 1, PrecomputeSpeedup: 0.99, SpeedupTarget: 2.0,
-				SpeedupStatus: benchfmt.SpeedupSkipped1Core,
+				SpeedupStatus: benchfmt.SpeedupStatusFor(1, 8),
+			},
+			wantFail: 0,
+		},
+		{
+			name: "2-core skipped status never fails the speedup gate",
+			rep: benchfmt.Report{
+				NumCPU: 2, PrecomputeSpeedup: 1.9, SpeedupTarget: 2.0,
+				SpeedupStatus: benchfmt.SpeedupStatusFor(2, 8),
 			},
 			wantFail: 0,
 		},
 		{
 			name: "delta speedup below target fails regardless of core count",
 			rep: benchfmt.Report{
-				NumCPU: 1, SpeedupStatus: benchfmt.SpeedupSkipped1Core,
+				NumCPU: 1, SpeedupStatus: benchfmt.SpeedupStatusFor(1, 8),
 				PrecomputeDeltaSpeedup: 4.0, DeltaSpeedupTarget: 10.0,
 			},
 			wantFail: 1,

@@ -96,11 +96,12 @@ type Index struct {
 	slot []int32
 }
 
-// member is an active worker: its estimator index (-1 when the estimator
-// has never seen it), base accuracy and estimate on a task without
-// evidence.
+// member is an active worker: its position in the active slice, estimator
+// index (-1 when the estimator has never seen it), base accuracy and
+// estimate on a task without evidence.
 type member struct {
 	id    string
+	pos   int
 	wi    int32
 	base  float64
 	prior float64
@@ -110,9 +111,19 @@ type member struct {
 // the estimator: active workers it has never seen estimate at DefaultBase
 // everywhere.
 func NewIndex(e *estimate.Estimator, active []string) *Index {
-	ix := &Index{est: e, byBase: make([]member, len(active)), slot: make([]int32, e.NumWorkers())}
+	ix := &Index{}
+	ix.Reset(e, active)
+	return ix
+}
+
+// Reset rebuilds the index over the given active workers, reusing its
+// buffers; it is NewIndex for a caller that rebuilds an index every round.
+func (ix *Index) Reset(e *estimate.Estimator, active []string) {
+	ix.est = e
+	ix.byBase = slices.Grow(ix.byBase[:0], len(active))[:len(active)]
+	ix.slot = slices.Grow(ix.slot[:0], e.NumWorkers())[:e.NumWorkers()]
 	for i, w := range active {
-		m := member{id: w, wi: -1, base: estimate.DefaultBase, prior: estimate.DefaultBase}
+		m := member{id: w, pos: i, wi: -1, base: estimate.DefaultBase, prior: estimate.DefaultBase}
 		if wi, ok := e.WorkerIndex(w); ok {
 			m.wi, m.base, m.prior = wi, e.Base(w), e.CellAccuracy(estimate.Cell{Worker: wi})
 		}
@@ -132,23 +143,27 @@ func NewIndex(e *estimate.Estimator, active []string) *Index {
 			ix.slot[m.wi] = int32(pos)
 		}
 	}
-	return ix
 }
 
 // NumActive returns the number of workers in the index.
 func (ix *Index) NumActive() int { return len(ix.byBase) }
 
 // TopWorkers returns the top-k eligible workers for taskID, ordered like
-// the reference TopWorkers. exclude reports workers that must be skipped
-// (the already-assigned set W^d(t_i)); it is consulted only for a worker
-// that would enter the set. The result matches the reference TopWorkers
-// over the same active set because workers without evidence on the task
-// sit exactly at their prior, which never increases down the base order.
-func (ix *Index) TopWorkers(taskID, k int, exclude func(string) bool) []Candidate {
+// the reference TopWorkers, in dst's backing array when it holds k (pass
+// nil for a fresh slice). exclude reports, by position in the active slice
+// the index was built over, workers that must be skipped (the
+// already-assigned set W^d(t_i)); it is consulted only for a worker that
+// would enter the set. The result matches the reference TopWorkers over
+// the same active set because workers without evidence on the task sit
+// exactly at their prior, which never increases down the base order.
+func (ix *Index) TopWorkers(dst []Candidate, taskID, k int, exclude func(pos int) bool) []Candidate {
 	if k <= 0 {
 		return nil
 	}
-	top := make([]Candidate, 0, k)
+	top := dst[:0]
+	if cap(top) < k {
+		top = make([]Candidate, 0, k)
+	}
 	// inCol marks, by base-order position, the members walked in the
 	// column; a stack buffer covers up to 256 active workers.
 	var buf [4]uint64
@@ -162,7 +177,8 @@ func (ix *Index) TopWorkers(taskID, k int, exclude func(string) bool) []Candidat
 		}
 		pos := ix.slot[c.Worker]
 		inCol[pos/64] |= 1 << (pos % 64)
-		top = offer(top, k, Candidate{Worker: ix.byBase[pos].id, Accuracy: ix.est.CellAccuracy(c)}, exclude)
+		m := &ix.byBase[pos]
+		top = offer(top, k, Candidate{Worker: m.id, Accuracy: ix.est.CellAccuracy(c)}, m.pos, exclude)
 	}
 	// Workers without evidence in base order: once one cannot enter the
 	// full set, no later one can, as their priors are no higher and equal
@@ -176,7 +192,7 @@ func (ix *Index) TopWorkers(taskID, k int, exclude func(string) bool) []Candidat
 		if len(top) == k && !ranksBefore(c, top[k-1]) {
 			break
 		}
-		top = offer(top, k, c, exclude)
+		top = offer(top, k, c, m.pos, exclude)
 	}
 	return top
 }
@@ -190,13 +206,14 @@ func ranksBefore(a, b Candidate) bool {
 	return a.Worker < b.Worker
 }
 
-// offer inserts c into top, a best-first set of at most k candidates,
-// unless c ranks after all k of them or exclude rejects it.
-func offer(top []Candidate, k int, c Candidate, exclude func(string) bool) []Candidate {
+// offer inserts c, the worker at position pos of the active slice, into
+// top, a best-first set of at most k candidates, unless c ranks after all
+// k of them or exclude rejects it.
+func offer(top []Candidate, k int, c Candidate, pos int, exclude func(int) bool) []Candidate {
 	if len(top) == k && !ranksBefore(c, top[k-1]) {
 		return top
 	}
-	if exclude != nil && exclude(c.Worker) {
+	if exclude != nil && exclude(pos) {
 		return top
 	}
 	if len(top) < k {

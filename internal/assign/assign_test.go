@@ -127,7 +127,7 @@ func TestIndexMatchesReference(t *testing.T) {
 		if ix.NumActive() != len(tc.active) {
 			t.Fatalf("%s: NumActive = %d, want %d", tc.name, ix.NumActive(), len(tc.active))
 		}
-		excl := func(w string) bool { return tc.excluded[w] }
+		excl := func(pos int) bool { return tc.excluded[tc.active[pos]] }
 		var eligible []string
 		for _, w := range tc.active {
 			if !tc.excluded[w] {
@@ -137,7 +137,7 @@ func TestIndexMatchesReference(t *testing.T) {
 		for tid := 0; tid < 12; tid++ {
 			for _, k := range []int{1, 3, 5, 40} {
 				want := TopWorkers(e, tid, k, eligible)
-				got := ix.TopWorkers(tid, k, excl)
+				got := ix.TopWorkers(nil, tid, k, excl)
 				if len(got) != len(want) {
 					t.Fatalf("%s task %d k %d: %v vs %v", tc.name, tid, k, got, want)
 				}
@@ -148,7 +148,7 @@ func TestIndexMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		if got := ix.TopWorkers(0, 0, nil); got != nil {
+		if got := ix.TopWorkers(nil, 0, 0, nil); got != nil {
 			t.Fatalf("%s: k=0 should be nil", tc.name)
 		}
 	}

@@ -55,3 +55,20 @@ func TestReadFileErrors(t *testing.T) {
 		t.Error("malformed JSON should error")
 	}
 }
+
+func TestSpeedupStatusFor(t *testing.T) {
+	for _, tc := range []struct {
+		cpus, workers int
+		want          string
+	}{
+		{1, 8, "skipped (1 of 8 cores)"},
+		{2, 8, "skipped (2 of 8 cores)"},
+		{7, 8, "skipped (7 of 8 cores)"},
+		{8, 8, SpeedupEnforced},
+		{64, 8, SpeedupEnforced},
+	} {
+		if got := SpeedupStatusFor(tc.cpus, tc.workers); got != tc.want {
+			t.Errorf("SpeedupStatusFor(%d, %d) = %q, want %q", tc.cpus, tc.workers, got, tc.want)
+		}
+	}
+}

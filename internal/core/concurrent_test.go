@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"hash/fnv"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -55,16 +56,28 @@ func parityBasis(t *testing.T) (*task.Dataset, *ICrowd, *ICrowd) {
 	return ds, cached, fresh
 }
 
+// parityHolds reports whether a worker keeps a freshly delivered task for
+// one round instead of answering it at once, so busy workers leave the
+// active set and rejoin it between scheme recomputations.
+func parityHolds(worker string, tid int) bool {
+	h := fnv.New32a()
+	fmt.Fprintf(h, "hold/%s/%d", worker, tid)
+	return h.Sum32()%4 == 0
+}
+
 // TestSchemeCacheParity drives two identically-configured frameworks — one
 // with the incremental scheme cache, one recomputing every top worker set
 // from scratch — through the same deterministic request/submit sequence and
 // asserts they hand out identical assignments at every step and reach
-// identical results. This is the conservative-invalidation guarantee of the
-// scheduler: incremental == fresh, always.
+// identical results. Workers sometimes hold a task across a round, which
+// changes the active set between recomputations. This is the
+// conservative-invalidation guarantee of the scheduler: incremental ==
+// fresh, always.
 func TestSchemeCacheParity(t *testing.T) {
 	ds, cached, fresh := parityBasis(t)
 	workers := parityWorkers(10)
 
+	held := map[string]int{}
 	maxSteps := 400 * ds.Len()
 	for step := 0; step < maxSteps; step++ {
 		if cached.Done() {
@@ -77,15 +90,17 @@ func TestSchemeCacheParity(t *testing.T) {
 			t.Fatalf("step %d worker %s: cached (%d,%v) != fresh (%d,%v)",
 				step, w, ct, cok, ft, fok)
 		}
-		if !cok {
-			continue
-		}
-		ans := parityAnswer(ds, w, ct, parityAcc(step%len(workers)))
-		if err := cached.SubmitAnswer(w, ct, ans); err != nil {
-			t.Fatalf("cached submit: %v", err)
-		}
-		if err := fresh.SubmitAnswer(w, ct, ans); err != nil {
-			t.Fatalf("fresh submit: %v", err)
+		if prev, holding := held[w]; cok && (!holding || prev != ct) && parityHolds(w, ct) {
+			held[w] = ct
+		} else if cok {
+			delete(held, w)
+			ans := parityAnswer(ds, w, ct, parityAcc(step%len(workers)))
+			if err := cached.SubmitAnswer(w, ct, ans); err != nil {
+				t.Fatalf("cached submit: %v", err)
+			}
+			if err := fresh.SubmitAnswer(w, ct, ans); err != nil {
+				t.Fatalf("fresh submit: %v", err)
+			}
 		}
 		// Periodic churn: a worker leaves and their held task is released,
 		// exercising the active-set diff invalidation.
@@ -93,6 +108,7 @@ func TestSchemeCacheParity(t *testing.T) {
 			leaver := workers[(step/97)%len(workers)]
 			cached.WorkerInactive(leaver)
 			fresh.WorkerInactive(leaver)
+			delete(held, leaver)
 		}
 	}
 	if !cached.Done() || !fresh.Done() {
@@ -103,6 +119,26 @@ func TestSchemeCacheParity(t *testing.T) {
 		if fres[tid] != a {
 			t.Fatalf("task %d: cached result %v != fresh %v", tid, a, fres[tid])
 		}
+	}
+}
+
+// TestEventLogDrain pins the job change feed's contract: each noted task
+// is drained once however often it was noted, and a drain empties the feed
+// so later notes of the same task are reported again.
+func TestEventLogDrain(t *testing.T) {
+	l := eventLog{noted: make([]bool, 8)}
+	for _, tid := range []int{3, 5, 3, 7, 5} {
+		l.note(tid)
+	}
+	if got := l.drain(nil); !reflect.DeepEqual(got, []int{3, 5, 7}) {
+		t.Fatalf("first drain = %v, want [3 5 7]", got)
+	}
+	if got := l.drain(nil); len(got) != 0 {
+		t.Fatalf("drain of an empty feed = %v", got)
+	}
+	l.note(5)
+	if got := l.drain([]int{1}); !reflect.DeepEqual(got, []int{1, 5}) {
+		t.Fatalf("drain after re-noting = %v, want [1 5] (appended to dst)", got)
 	}
 }
 

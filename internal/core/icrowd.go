@@ -3,7 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,19 +48,26 @@ const (
 // Lock order: recomputeMu, then workerInfo.mu, then ic.mu, then schemeMu;
 // wmu and the event log are leaves never held across another acquisition.
 type ICrowd struct {
-	cfg  Config
-	ds   *task.Dataset
-	job  *Job
-	est  *estimate.Estimator
-	warm *qualify.WarmUp
+	cfg    Config
+	ds     *task.Dataset
+	job    *Job
+	est    *estimate.Estimator
+	warm   *qualify.WarmUp
+	qual   []int  // the warm-up's qualification microtasks, in serving order
+	isQual []bool // task -> qualification microtask
+	// voters holds, per task, the estimator indices of the workers in
+	// job.Votes(t), in vote order (guarded by mu), so the Step-3 scan reads
+	// voter accuracies without a worker-ID lookup.
+	voters [][]int32
 
 	// basis/lazyGraph back lazy-basis mode (WithLazyBasis): lazyGraph non-nil
 	// means basis vectors are solved on first observation, under ic.mu.
 	basis     *ppr.Basis
 	lazyGraph *simgraph.Graph
 
-	wmu     sync.Mutex // guards the workers map (not the infos)
+	wmu     sync.Mutex // guards workers and roster (not the infos)
 	workers map[string]*workerInfo
+	roster  []rosterEntry // the same records, sorted by worker ID
 
 	mu sync.RWMutex // guards job and est
 
@@ -156,12 +165,16 @@ func New(ds *task.Dataset, basis *ppr.Basis, cfg Config, opts ...Option) (*ICrow
 		job:       job,
 		est:       estimate.New(basis, cfg.Lambda),
 		warm:      warm,
+		qual:      warm.Tasks(),
 		basis:     basis,
 		lazyGraph: no.lazyGraph,
 		workers:   map[string]*workerInfo{},
 		scheme:    map[string]int{},
-		sched:     newScheduler(no.schemeCache),
+		sched:     newScheduler(no.schemeCache, ds.Len()),
+		isQual:    make([]bool, ds.Len()),
+		voters:    make([][]int32, ds.Len()),
 	}
+	ic.events.noted = make([]bool, ds.Len())
 	reg := no.metrics
 	if !no.metricsSet {
 		reg = obsv.Default()
@@ -182,6 +195,7 @@ func New(ds *task.Dataset, basis *ppr.Basis, cfg Config, opts ...Option) (*ICrow
 	// treats them as globally completed from the start.
 	for _, t := range qual {
 		job.ForceComplete(t, ds.Tasks[t].Truth)
+		ic.isQual[t] = true
 	}
 	return ic, nil
 }
@@ -224,6 +238,8 @@ func (ic *ICrowd) worker(id string, create bool) (*workerInfo, bool) {
 	if !ok && create {
 		info = &workerInfo{pendingQual: -1, qualAnswers: map[int]task.Answer{}}
 		ic.workers[id] = info
+		i, _ := slices.BinarySearchFunc(ic.roster, id, func(r rosterEntry, id string) int { return strings.Compare(r.id, id) })
+		ic.roster = slices.Insert(ic.roster, i, rosterEntry{id, info})
 	}
 	return info, ok
 }
@@ -278,31 +294,30 @@ func (ic *ICrowd) requestTask(worker string) (int, bool) {
 		return pending, true // idempotent re-request of the held task
 	}
 	if ic.cfg.Mode == ModeBestEffort {
-		return ic.requestBestEffort(worker, info)
+		return ic.requestBestEffort(worker)
 	}
 	if ic.schemeDirty.Load() {
 		ic.recomputeScheme()
 	}
 	if t, ok := ic.takeSchemeEntry(worker); ok {
 		ic.mu.Lock()
-		_, completed := ic.job.Completed(t)
-		if !completed && !ic.job.Touched(worker, t) {
-			if err := ic.job.Assign(worker, t); err == nil {
-				ic.events.note(t)
-				ic.mu.Unlock()
-				return t, true
-			}
+		// The entry's task may have filled up or completed since the
+		// recompute; Assign refuses repeats but not a full task.
+		if ic.job.Capacity(t) > 0 && ic.job.Assign(worker, t) == nil {
+			ic.events.note(t)
+			ic.mu.Unlock()
+			return t, true
 		}
 		ic.mu.Unlock()
 	}
 	// Step 3: performance testing for workers the scheme left out.
-	return ic.performanceTest(worker, info)
+	return ic.performanceTest(worker)
 }
 
 // serveQualification hands out the worker's next qualification microtask.
 // served is false once the warm-up phase is over.
 func (ic *ICrowd) serveQualification(info *workerInfo) (taskID int, ok, served bool) {
-	qual := ic.warm.Tasks()
+	qual := ic.qual
 	info.mu.Lock()
 	defer info.mu.Unlock()
 	if info.qualIdx >= len(qual) {
@@ -340,26 +355,23 @@ func (ic *ICrowd) recomputeScheme() {
 		start = time.Now()
 	}
 
+	s := ic.sched
 	ic.wmu.Lock()
-	snapshot := make(map[string]*workerInfo, len(ic.workers))
-	for id, info := range ic.workers {
-		snapshot[id] = info
-	}
+	s.roster = append(s.roster[:0], ic.roster...)
 	ic.wmu.Unlock()
 
 	ic.mu.RLock()
-	var active []string
-	for id, info := range snapshot {
-		if !info.qualified.Load() || info.rejected.Load() {
+	s.next = s.next[:0]
+	for _, r := range s.roster {
+		if !r.info.qualified.Load() || r.info.rejected.Load() {
 			continue
 		}
-		if _, busy := ic.job.Pending(id); busy {
+		if _, busy := ic.job.Pending(r.id); busy {
 			continue
 		}
-		active = append(active, id)
+		s.next = append(s.next, r.id)
 	}
-	sort.Strings(active)
-	scheme := ic.sched.compute(ic, active, ic.events.drain())
+	scheme := s.compute(ic, s.next)
 	ic.mu.RUnlock()
 
 	ic.schemeMu.Lock()
@@ -398,10 +410,10 @@ func (ic *ICrowd) eligible(worker string, taskID int) bool {
 
 // requestBestEffort assigns the microtask with the worker's own highest
 // estimated accuracy (the BestEffort ablation of Section 6.3.2).
-func (ic *ICrowd) requestBestEffort(worker string, info *workerInfo) (int, bool) {
+func (ic *ICrowd) requestBestEffort(worker string) (int, bool) {
 	ic.mu.Lock()
 	best, bestAcc := -1, -1.0
-	for _, t := range ic.job.Uncompleted() {
+	for t := 0; t < ic.ds.Len(); t++ {
 		if ic.job.Capacity(t) == 0 || ic.job.Touched(worker, t) || !ic.eligible(worker, t) {
 			continue
 		}
@@ -421,7 +433,7 @@ func (ic *ICrowd) requestBestEffort(worker string, info *workerInfo) (int, bool)
 		return best, true
 	}
 	ic.mu.Unlock()
-	return ic.performanceTest(worker, info)
+	return ic.performanceTest(worker)
 }
 
 // performanceTest implements Step 3 of Section 4.1: a worker the scheme
@@ -429,45 +441,56 @@ func (ic *ICrowd) requestBestEffort(worker string, info *workerInfo) (int, bool)
 // preferred targets — their consensus grades the answer immediately and the
 // extra vote never perturbs the k-vote consensus. If none is eligible the
 // framework falls back to a regular assignment so the job cannot stall.
-func (ic *ICrowd) performanceTest(worker string, info *workerInfo) (int, bool) {
-	info.mu.Lock()
-	wasQual := make(map[int]bool, len(info.qualAnswers))
-	for t := range info.qualAnswers {
-		wasQual[t] = true
-	}
-	info.mu.Unlock()
-
+//
+// The scan over completed microtasks is assign.PerformanceTest done in
+// place, with the same float operations in the same order: voter
+// accuracies summed in vote order (read through ic.voters) and the same
+// tie rule. Qualification microtasks are skipped — every worker reaching
+// Step 3 has answered all of them.
+func (ic *ICrowd) performanceTest(worker string) (int, bool) {
 	ic.mu.Lock()
 	defer ic.mu.Unlock()
-	var eligible []assign.TestTask
+	jw, assigned := ic.job.WorkerIndex(worker)
+	ew, known := ic.est.WorkerIndex(worker)
+	bestTask, bestScore := -1, math.Inf(-1)
 	for t := 0; t < ic.ds.Len(); t++ {
 		if _, done := ic.job.Completed(t); !done {
 			continue
 		}
-		if ic.job.Touched(worker, t) || !ic.eligible(worker, t) {
+		if assigned && ic.job.TouchedIndex(jw, t) || !ic.eligible(worker, t) {
 			continue
 		}
-		if wasQual[t] {
+		if ic.isQual[t] {
 			continue
 		}
-		votes := ic.job.Votes(t)
-		accs := make([]float64, len(votes))
-		for i, v := range votes {
-			accs[i] = ic.est.Accuracy(v.Worker, t)
+		quality := 0.5
+		if voters := ic.voters[t]; len(voters) > 0 {
+			var sum float64
+			for _, wi := range voters {
+				sum += ic.est.CellAccuracy(ic.est.Evidence(wi, t))
+			}
+			quality = sum / float64(len(voters))
 		}
-		eligible = append(eligible, assign.TestTask{Task: t, AssignedAccuracies: accs})
+		var ev estimate.Cell // no evidence: what Uncertainty gives an unknown worker
+		if known {
+			ev = ic.est.Evidence(ew, t)
+		}
+		score := ic.est.CellUncertainty(ev) * quality
+		if score > bestScore || (score == bestScore && t < bestTask) {
+			bestTask, bestScore = t, score
+		}
 	}
-	if t, ok := assign.PerformanceTest(ic.est, worker, eligible); ok {
-		if err := ic.job.AssignTest(worker, t); err == nil {
-			ic.events.note(t)
-			return t, true
+	if bestTask >= 0 {
+		if err := ic.job.AssignTest(worker, bestTask); err == nil {
+			ic.events.note(bestTask)
+			return bestTask, true
 		}
 	}
 	// Fallback: no completed microtask to test with — hand out a regular
-	// assignment on an uncompleted microtask instead.
-	eligible = eligible[:0]
+	// assignment on an uncompleted microtask with room left instead.
+	var eligible []assign.TestTask
 	for _, t := range ic.job.Uncompleted() {
-		if ic.job.Touched(worker, t) || !ic.eligible(worker, t) {
+		if ic.job.Capacity(t) == 0 || ic.job.Touched(worker, t) || !ic.eligible(worker, t) {
 			continue
 		}
 		var accs []float64
@@ -519,6 +542,8 @@ func (ic *ICrowd) SubmitAnswer(worker string, taskID int, ans task.Answer) error
 	if err != nil {
 		return err
 	}
+	wi, _ := ic.est.WorkerIndex(worker) // requestTask registered every worker it served
+	ic.voters[taskID] = append(ic.voters[taskID], wi)
 	ic.events.note(taskID)
 	if ic.cfg.Mode != ModeQFOnly {
 		// Observe (or re-observe) every voter against the consensus. Late
@@ -602,7 +627,7 @@ func (ic *ICrowd) submitQualification(worker string, info *workerInfo, taskID in
 	if err := ic.est.ObserveQualification(worker, taskID, correct); err != nil {
 		return err
 	}
-	if info.qualIdx >= len(ic.warm.Tasks()) {
+	if info.qualIdx >= len(ic.qual) {
 		avg, pass := ic.warm.Evaluate(info.qualAnswers)
 		ic.est.SetBase(worker, avg)
 		if pass {

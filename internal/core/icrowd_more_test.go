@@ -42,6 +42,47 @@ func TestMinAccuracyFloorRoutesToTests(t *testing.T) {
 	}
 }
 
+// TestMinAccuracyFloorFiltersTopSets checks the Definition-3 floor when
+// someone clears it: a worker below the floor leaves every top set, so
+// Greedy schedules the strong worker alone and the weak one is left for
+// Step 3. Without the floor both would share the best task's set.
+func TestMinAccuracyFloorFiltersTopSets(t *testing.T) {
+	ds, b := table1Basis(t)
+	cfg := DefaultConfig()
+	cfg.Q = 3
+	cfg.MinAccuracy = 0.9
+	ic, err := New(ds, b, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qualifyWorkers(t, ic, ds, "strong")
+	// "weak" misses one of three qualification answers: 0.67 passes the
+	// warm-up but estimates below the 0.9 floor everywhere.
+	for i := range ic.QualificationTasks() {
+		tid, ok := ic.RequestTask("weak")
+		if !ok {
+			t.Fatal("no qualification task for weak")
+		}
+		ans := ds.Tasks[tid].Truth
+		if i == 0 {
+			ans = ans.Flip()
+		}
+		if err := ic.SubmitAnswer("weak", tid, ans); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if ic.Rejected("weak") {
+		t.Fatal("setup: weak should pass the warm-up")
+	}
+	ic.recomputeScheme()
+	if _, ok := ic.scheme["strong"]; !ok {
+		t.Fatalf("strong worker missing from the scheme %v", ic.scheme)
+	}
+	if tid, ok := ic.scheme["weak"]; ok {
+		t.Fatalf("below-floor worker scheduled on task %d", tid)
+	}
+}
+
 func TestPerformanceTestPrefersCompletedTasks(t *testing.T) {
 	ds, b := table1Basis(t)
 	cfg := DefaultConfig()

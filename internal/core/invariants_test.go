@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -65,9 +66,23 @@ func checkJobInvariants(t *testing.T, j *Job) {
 	}
 }
 
+// checkAssignmentWithinK asserts the Step-2 constraint right after taskID
+// was handed out: an uncompleted microtask never has more votes plus
+// regular holders than its assignment size k.
+func checkAssignmentWithinK(j *Job, taskID int) error {
+	if _, done := j.Completed(taskID); done {
+		return nil
+	}
+	if n := len(j.Votes(taskID)) + len(j.PendingWorkers(taskID)); n > j.K() {
+		return fmt.Errorf("task %d has %d votes plus holders with k=%d", taskID, n, j.K())
+	}
+	return nil
+}
+
 // TestSystemInvariantsUnderRandomInterleavings drives the full framework
-// with random request orders, churn, and answer noise, then checks the Job
-// invariants.
+// with random request orders, churn, and answer noise — a worker may keep
+// its task across other workers' requests and submits — checks the Step-2
+// capacity after every assignment, then checks the Job invariants.
 func TestSystemInvariantsUnderRandomInterleavings(t *testing.T) {
 	ds, basis := table1Basis(t)
 	f := func(seed int64) bool {
@@ -85,16 +100,30 @@ func TestSystemInvariantsUnderRandomInterleavings(t *testing.T) {
 		for _, w := range workers {
 			accs[w] = 0.3 + 0.7*rng.Float64()
 		}
+		held := map[string]int{} // worker -> task delivered but not yet answered
 		for step := 0; step < 3000 && !ic.Done(); step++ {
 			w := workers[rng.Intn(len(workers))]
 			if rng.Float64() < 0.03 {
 				ic.WorkerInactive(w)
+				delete(held, w)
 				continue
 			}
-			tid, ok := ic.RequestTask(w)
-			if !ok {
-				continue
+			tid, holding := held[w]
+			if !holding {
+				var ok bool
+				if tid, ok = ic.RequestTask(w); !ok {
+					continue
+				}
+				if err := checkAssignmentWithinK(ic.Job(), tid); err != nil {
+					t.Logf("seed %d step %d: %v", seed, step, err)
+					return false
+				}
+				if rng.Float64() < 0.5 {
+					held[w] = tid // answer on a later turn
+					continue
+				}
 			}
+			delete(held, w)
 			ans := ds.Tasks[tid].Truth
 			if rng.Float64() > accs[w] {
 				ans = ans.Flip()
@@ -117,7 +146,7 @@ func TestSystemInvariantsUnderRandomInterleavings(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -9,7 +9,7 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"icrowd/internal/aggregate"
 	"icrowd/internal/task"
@@ -45,23 +45,44 @@ var ErrBusy = errors.New("core: worker already holds an assignment")
 
 // Job tracks the shared crowdsourcing state: who is assigned what, the votes
 // per microtask, and which tasks reached consensus. All strategies reuse it.
+//
+// State is slice-indexed: each task keeps its consensus, votes, regular
+// holders and the short list of workers who touched it, and workers are
+// interned to dense indices whose slots name the task they hold. Storage
+// follows assignments, not workers x tasks, and the hot reads (Capacity,
+// TouchedIndex, Completed) are a slice index plus a scan of a few entries.
 type Job struct {
 	ds   *task.Dataset
 	k    int
 	need int // votes on one side required for consensus
 
-	votes     map[int][]aggregate.Vote
-	voted     map[int]map[string]bool
-	pendingW  map[string]int          // worker -> task they hold
-	pendingT  map[int]map[string]bool // task -> workers holding it
-	completed map[int]task.Answer
+	index        map[string]int32 // worker ID -> interned index
+	names        []string         // interned index -> worker ID
+	slots        []workerSlots    // interned index -> held assignments
+	tasks        []taskState
+	numCompleted int
+}
 
-	// Test assignments (Section 4.1 Step 3 / Section 5): answers collected
-	// purely to estimate a worker's accuracy. They never count toward the
-	// k-vote consensus, honoring the Step-2 constraint that a microtask is
+// workerSlots are the tasks a worker holds, -1 for none. At most one of
+// them is set: a worker holds one assignment at a time.
+type workerSlots struct {
+	regular int
+	// test is a Step-3 / Section-5 test assignment: its answer only
+	// estimates the worker's accuracy and never counts toward the k-vote
+	// consensus, honoring the Step-2 constraint that a microtask is
 	// assigned to at most its available assignment size.
-	pendingTestW map[string]int
-	testVoted    map[int]map[string]bool
+	test int
+}
+
+type taskState struct {
+	completed bool
+	consensus task.Answer
+	votes     []aggregate.Vote
+	holders   []int32 // workers holding a regular assignment on the task
+	// touched holds every worker who voted on, test-answered or holds the
+	// task (regular or test): the paper's W^d(t) extended with test
+	// exposure, so no worker ever sees the same microtask twice.
+	touched []int32
 }
 
 // NewJob creates bookkeeping for assigning ds with assignment size k.
@@ -72,16 +93,11 @@ func NewJob(ds *task.Dataset, k int) (*Job, error) {
 		return nil, errors.New("core: assignment size must be >= 1")
 	}
 	return &Job{
-		ds:           ds,
-		k:            k,
-		need:         k/2 + 1,
-		votes:        map[int][]aggregate.Vote{},
-		voted:        map[int]map[string]bool{},
-		pendingW:     map[string]int{},
-		pendingT:     map[int]map[string]bool{},
-		completed:    map[int]task.Answer{},
-		pendingTestW: map[string]int{},
-		testVoted:    map[int]map[string]bool{},
+		ds:    ds,
+		k:     k,
+		need:  k/2 + 1,
+		index: map[string]int32{},
+		tasks: make([]taskState, ds.Len()),
 	}, nil
 }
 
@@ -91,82 +107,96 @@ func (j *Job) Dataset() *task.Dataset { return j.ds }
 // K returns the assignment size.
 func (j *Job) K() int { return j.k }
 
+func (j *Job) inRange(taskID int) bool { return taskID >= 0 && taskID < len(j.tasks) }
+
+// WorkerIndex returns the interned index of a worker the job has assigned
+// a task to at least once.
+func (j *Job) WorkerIndex(worker string) (int32, bool) {
+	wi, ok := j.index[worker]
+	return wi, ok
+}
+
 // Capacity returns the number of additional workers taskID can take:
 // k minus collected votes minus outstanding assignments. Completed tasks
-// have zero capacity.
+// have zero capacity; an ID outside the dataset has no votes or holders.
 func (j *Job) Capacity(taskID int) int {
-	if _, done := j.completed[taskID]; done {
+	if !j.inRange(taskID) {
+		return j.k
+	}
+	ts := &j.tasks[taskID]
+	if ts.completed {
 		return 0
 	}
-	c := j.k - len(j.votes[taskID]) - len(j.pendingT[taskID])
-	if c < 0 {
-		c = 0
-	}
-	return c
+	return max(j.k-len(ts.votes)-len(ts.holders), 0)
 }
 
 // Touched reports whether the worker has voted on, test-answered, or
 // currently holds taskID (i.e. is in the paper's W^d(t), extended with test
 // exposure so no worker ever sees the same microtask twice).
 func (j *Job) Touched(worker string, taskID int) bool {
-	if j.voted[taskID][worker] || j.testVoted[taskID][worker] {
-		return true
-	}
-	if t, ok := j.pendingTestW[worker]; ok && t == taskID {
-		return true
-	}
-	return j.pendingT[taskID][worker]
+	wi, ok := j.index[worker]
+	return ok && j.TouchedIndex(wi, taskID)
+}
+
+// TouchedIndex is Touched for the worker with interned index wi (see
+// WorkerIndex).
+func (j *Job) TouchedIndex(wi int32, taskID int) bool {
+	return j.inRange(taskID) && slices.Contains(j.tasks[taskID].touched, wi)
 }
 
 // Pending returns the task the worker currently holds (regular or test).
 func (j *Job) Pending(worker string) (int, bool) {
-	if t, ok := j.pendingW[worker]; ok {
-		return t, ok
+	wi, ok := j.index[worker]
+	if !ok {
+		return 0, false
 	}
-	t, ok := j.pendingTestW[worker]
-	return t, ok
+	switch s := j.slots[wi]; {
+	case s.regular >= 0:
+		return s.regular, true
+	case s.test >= 0:
+		return s.test, true
+	}
+	return 0, false
 }
 
 // PendingTest reports whether the worker's pending assignment on taskID is
 // a test assignment.
 func (j *Job) PendingTest(worker string, taskID int) bool {
-	t, ok := j.pendingTestW[worker]
-	return ok && t == taskID
+	wi, ok := j.index[worker]
+	return ok && taskID >= 0 && j.slots[wi].test == taskID
 }
 
 // PendingWorkers returns the workers currently holding taskID, sorted.
 func (j *Job) PendingWorkers(taskID int) []string {
-	out := make([]string, 0, len(j.pendingT[taskID]))
-	for w := range j.pendingT[taskID] {
-		out = append(out, w)
+	if !j.inRange(taskID) {
+		return []string{}
 	}
-	sort.Strings(out)
+	holders := j.tasks[taskID].holders
+	out := make([]string, len(holders))
+	for i, wi := range holders {
+		out[i] = j.names[wi]
+	}
+	slices.Sort(out)
 	return out
 }
 
 // Assign hands taskID to the worker as a regular (consensus-counting)
 // assignment. It enforces the one-task-at-a-time rule and the no-repeat
-// rule; completed tasks cannot take regular assignments.
+// rule; completed tasks cannot take regular assignments. It does not check
+// Capacity: callers hand out a task only while Capacity(taskID) > 0.
 func (j *Job) Assign(worker string, taskID int) error {
-	if taskID < 0 || taskID >= j.ds.Len() {
-		return fmt.Errorf("core: task %d out of range", taskID)
+	wi, err := j.assignable(worker, taskID)
+	if err != nil {
+		return err
 	}
-	if j.busy(worker) {
-		return ErrBusy
-	}
-	if j.Touched(worker, taskID) {
-		return fmt.Errorf("core: worker %s already touched task %d", worker, taskID)
-	}
-	if _, done := j.completed[taskID]; done {
+	ts := &j.tasks[taskID]
+	if ts.completed {
 		return fmt.Errorf("core: task %d already completed", taskID)
 	}
-	j.pendingW[worker] = taskID
-	set, ok := j.pendingT[taskID]
-	if !ok {
-		set = map[string]bool{}
-		j.pendingT[taskID] = set
-	}
-	set[worker] = true
+	wi = j.intern(worker, wi)
+	j.slots[wi].regular = taskID
+	ts.holders = append(ts.holders, wi)
+	ts.touched = append(ts.touched, wi)
 	return nil
 }
 
@@ -175,34 +205,74 @@ func (j *Job) Assign(worker string, taskID int) error {
 // Unlike Assign, completed tasks are allowed (they are the preferred test
 // targets — their consensus grades the answer immediately).
 func (j *Job) AssignTest(worker string, taskID int) error {
-	if taskID < 0 || taskID >= j.ds.Len() {
-		return fmt.Errorf("core: task %d out of range", taskID)
+	wi, err := j.assignable(worker, taskID)
+	if err != nil {
+		return err
 	}
-	if j.busy(worker) {
-		return ErrBusy
-	}
-	if j.Touched(worker, taskID) {
-		return fmt.Errorf("core: worker %s already touched task %d", worker, taskID)
-	}
-	j.pendingTestW[worker] = taskID
+	wi = j.intern(worker, wi)
+	j.slots[wi].test = taskID
+	j.tasks[taskID].touched = append(j.tasks[taskID].touched, wi)
 	return nil
 }
 
-func (j *Job) busy(worker string) bool {
-	if _, ok := j.pendingW[worker]; ok {
-		return true
+// assignable checks the rules shared by Assign and AssignTest and returns
+// the worker's interned index, -1 for a worker the job has not seen.
+func (j *Job) assignable(worker string, taskID int) (int32, error) {
+	if !j.inRange(taskID) {
+		return -1, fmt.Errorf("core: task %d out of range", taskID)
 	}
-	_, ok := j.pendingTestW[worker]
-	return ok
+	wi, ok := j.index[worker]
+	if !ok {
+		return -1, nil
+	}
+	if s := j.slots[wi]; s.regular >= 0 || s.test >= 0 {
+		return wi, ErrBusy
+	}
+	if j.TouchedIndex(wi, taskID) {
+		return wi, fmt.Errorf("core: worker %s already touched task %d", worker, taskID)
+	}
+	return wi, nil
+}
+
+// intern returns wi, registering the worker first when wi is -1.
+func (j *Job) intern(worker string, wi int32) int32 {
+	if wi >= 0 {
+		return wi
+	}
+	wi = int32(len(j.names))
+	j.index[worker] = wi
+	j.names = append(j.names, worker)
+	j.slots = append(j.slots, workerSlots{regular: -1, test: -1})
+	return wi
+}
+
+// without removes wi from list, whose order does not matter.
+func without(list []int32, wi int32) []int32 {
+	if i := slices.Index(list, wi); i >= 0 {
+		list[i] = list[len(list)-1]
+		list = list[:len(list)-1]
+	}
+	return list
 }
 
 // Release drops the worker's pending assignment (worker became inactive).
 func (j *Job) Release(worker string) {
-	if t, ok := j.pendingW[worker]; ok {
-		delete(j.pendingW, worker)
-		delete(j.pendingT[t], worker)
+	wi, ok := j.index[worker]
+	if !ok {
+		return
 	}
-	delete(j.pendingTestW, worker)
+	s := &j.slots[wi]
+	if s.regular >= 0 {
+		ts := &j.tasks[s.regular]
+		ts.holders = without(ts.holders, wi)
+		ts.touched = without(ts.touched, wi)
+		s.regular = -1
+	}
+	if s.test >= 0 {
+		ts := &j.tasks[s.test]
+		ts.touched = without(ts.touched, wi)
+		s.test = -1
+	}
 }
 
 // Submit records the worker's answer for their pending task. It returns
@@ -212,39 +282,33 @@ func (j *Job) Submit(worker string, taskID int, ans task.Answer) (completedNow b
 	if ans != task.Yes && ans != task.No {
 		return false, task.None, errors.New("core: answer must be YES or NO")
 	}
-	// Test submissions: record exposure only; the vote never enters the
-	// consensus tally.
-	if t, ok := j.pendingTestW[worker]; ok && t == taskID {
-		delete(j.pendingTestW, worker)
-		set, ok := j.testVoted[taskID]
-		if !ok {
-			set = map[string]bool{}
-			j.testVoted[taskID] = set
-		}
-		set[worker] = true
-		return false, task.None, nil
-	}
-	if t, ok := j.pendingW[worker]; !ok || t != taskID {
+	wi, ok := j.index[worker]
+	if !ok || taskID < 0 {
 		return false, task.None, ErrNoPending
 	}
-	delete(j.pendingW, worker)
-	delete(j.pendingT[taskID], worker)
-	j.votes[taskID] = append(j.votes[taskID], aggregate.Vote{Worker: worker, Answer: ans})
-	set, ok := j.voted[taskID]
-	if !ok {
-		set = map[string]bool{}
-		j.voted[taskID] = set
+	s := &j.slots[wi]
+	// Test submissions: the worker stays touched; the vote never enters
+	// the consensus tally.
+	if s.test == taskID {
+		s.test = -1
+		return false, task.None, nil
 	}
-	set[worker] = true
+	if s.regular != taskID {
+		return false, task.None, ErrNoPending
+	}
+	s.regular = -1
+	ts := &j.tasks[taskID]
+	ts.holders = without(ts.holders, wi)
+	ts.votes = append(ts.votes, aggregate.Vote{Worker: worker, Answer: ans})
 
-	if _, done := j.completed[taskID]; done {
+	if ts.completed {
 		// Late vote on an already-consensused task (possible when a test
 		// assignment was outstanding at completion time); keep the vote,
 		// no state change.
 		return false, task.None, nil
 	}
 	var yes, no int
-	for _, v := range j.votes[taskID] {
+	for _, v := range ts.votes {
 		if v.Answer == task.Yes {
 			yes++
 		} else {
@@ -253,59 +317,78 @@ func (j *Job) Submit(worker string, taskID int, ans task.Answer) (completedNow b
 	}
 	switch {
 	case yes >= j.need:
-		j.completed[taskID] = task.Yes
-		return true, task.Yes, nil
+		consensus = task.Yes
 	case no >= j.need:
-		j.completed[taskID] = task.No
-		return true, task.No, nil
+		consensus = task.No
 	case yes+no >= j.k:
 		// Even k exact tie: resolve to NO deterministically.
-		j.completed[taskID] = task.No
-		return true, task.No, nil
+		consensus = task.No
+	default:
+		return false, task.None, nil
 	}
-	return false, task.None, nil
+	j.complete(taskID, consensus)
+	return true, consensus, nil
+}
+
+func (j *Job) complete(taskID int, ans task.Answer) {
+	ts := &j.tasks[taskID]
+	if !ts.completed {
+		ts.completed = true
+		j.numCompleted++
+	}
+	ts.consensus = ans
 }
 
 // ForceComplete marks taskID globally completed with the given answer
 // without any votes. The framework uses it to seed qualification microtasks,
 // whose results come from requester ground truth (Section 5).
 func (j *Job) ForceComplete(taskID int, ans task.Answer) {
-	if taskID < 0 || taskID >= j.ds.Len() {
-		return
+	if j.inRange(taskID) {
+		j.complete(taskID, ans)
 	}
-	j.completed[taskID] = ans
 }
 
 // Votes returns the votes collected for taskID (shared slice; do not
 // mutate).
-func (j *Job) Votes(taskID int) []aggregate.Vote { return j.votes[taskID] }
+func (j *Job) Votes(taskID int) []aggregate.Vote {
+	if !j.inRange(taskID) {
+		return nil
+	}
+	return j.tasks[taskID].votes
+}
 
-// AllVotes returns a copy of the vote table keyed by task.
+// AllVotes returns a copy of the vote table keyed by task; tasks without
+// votes have no entry.
 func (j *Job) AllVotes() map[int][]aggregate.Vote {
-	out := make(map[int][]aggregate.Vote, len(j.votes))
-	for t, vs := range j.votes {
-		out[t] = append([]aggregate.Vote(nil), vs...)
+	out := map[int][]aggregate.Vote{}
+	for t := range j.tasks {
+		if vs := j.tasks[t].votes; len(vs) > 0 {
+			out[t] = slices.Clone(vs)
+		}
 	}
 	return out
 }
 
 // Completed returns the consensus answer of taskID, if reached.
 func (j *Job) Completed(taskID int) (task.Answer, bool) {
-	a, ok := j.completed[taskID]
-	return a, ok
+	if !j.inRange(taskID) {
+		return task.No, false
+	}
+	ts := &j.tasks[taskID]
+	return ts.consensus, ts.completed
 }
 
 // NumCompleted returns the number of globally completed tasks.
-func (j *Job) NumCompleted() int { return len(j.completed) }
+func (j *Job) NumCompleted() int { return j.numCompleted }
 
 // Done reports whether every task reached consensus.
-func (j *Job) Done() bool { return len(j.completed) == j.ds.Len() }
+func (j *Job) Done() bool { return j.numCompleted == len(j.tasks) }
 
 // Uncompleted returns the IDs of tasks without consensus, ascending.
 func (j *Job) Uncompleted() []int {
 	var out []int
-	for t := 0; t < j.ds.Len(); t++ {
-		if _, done := j.completed[t]; !done {
+	for t := range j.tasks {
+		if !j.tasks[t].completed {
 			out = append(out, t)
 		}
 	}
@@ -316,14 +399,15 @@ func (j *Job) Uncompleted() []int {
 // completed tasks, the current leading answer otherwise (None if no votes
 // or tied).
 func (j *Job) MajorityResults() map[int]task.Answer {
-	out := make(map[int]task.Answer, j.ds.Len())
-	for t := 0; t < j.ds.Len(); t++ {
-		if a, done := j.completed[t]; done {
-			out[t] = a
+	out := make(map[int]task.Answer, len(j.tasks))
+	for t := range j.tasks {
+		ts := &j.tasks[t]
+		if ts.completed {
+			out[t] = ts.consensus
 			continue
 		}
-		raw := make([]task.Answer, 0, len(j.votes[t]))
-		for _, v := range j.votes[t] {
+		raw := make([]task.Answer, 0, len(ts.votes))
+		for _, v := range ts.votes {
 			raw = append(raw, v.Answer)
 		}
 		if a, ok := aggregate.MajorityVote(raw); ok {

@@ -58,13 +58,14 @@ type Estimator struct {
 	cols    [][]Cell // task -> evidence cells, ascending by Cell.Worker
 
 	// dirtyW are workers whose observations changed since the last reset;
-	// dirtyT are the tasks on which some worker's estimate changed (the
-	// union of the basis supports of the newly observed tasks). dirtyAll is
-	// set by base-accuracy changes, which move a worker's estimate on every
-	// task at once.
-	dirtyW   map[string]bool
-	dirtyT   map[int]bool
-	dirtyAll bool
+	// dirtyT lists the tasks on which some worker's estimate changed (the
+	// union of the basis supports of the newly observed tasks), each once,
+	// as flagged in dirtyTask. dirtyAll is set by base-accuracy changes,
+	// which move a worker's estimate on every task at once.
+	dirtyW    map[string]bool
+	dirtyT    []int
+	dirtyTask []bool
+	dirtyAll  bool
 }
 
 type workerState struct {
@@ -89,12 +90,12 @@ func New(basis *ppr.Basis, lambda float64) *Estimator {
 		lambda = DefaultLambda
 	}
 	return &Estimator{
-		basis:  basis,
-		lambda: lambda,
-		index:  make(map[string]int32),
-		cols:   make([][]Cell, basis.N()),
-		dirtyW: make(map[string]bool),
-		dirtyT: make(map[int]bool),
+		basis:     basis,
+		lambda:    lambda,
+		index:     make(map[string]int32),
+		cols:      make([][]Cell, basis.N()),
+		dirtyW:    make(map[string]bool),
+		dirtyTask: make([]bool, basis.N()),
 	}
 }
 
@@ -209,6 +210,7 @@ func (e *Estimator) Observe(id string, taskID int, q float64) error {
 	}
 	if n := e.basis.N(); n > len(e.cols) { // the basis was Extended
 		e.cols = append(e.cols, make([][]Cell, n-len(e.cols))...)
+		e.dirtyTask = append(e.dirtyTask, make([]bool, n-len(e.dirtyTask))...)
 	}
 	for t, p := range e.basis.Vec(taskID) {
 		c := e.cell(t, wi)
@@ -216,7 +218,10 @@ func (e *Estimator) Observe(id string, taskID int, q float64) error {
 		if !seen {
 			c.den += p
 		}
-		e.dirtyT[t] = true
+		if !e.dirtyTask[t] {
+			e.dirtyTask[t] = true
+			e.dirtyT = append(e.dirtyT, t)
+		}
 	}
 	e.dirtyW[id] = true
 	return nil
@@ -251,8 +256,9 @@ func (e *Estimator) cell(t int, wi int32) *Cell {
 	return &col[i]
 }
 
-// evidence returns worker wi's cell on taskID, or an empty cell.
-func (e *Estimator) evidence(wi int32, taskID int) Cell {
+// Evidence returns the cell of the worker with interned index wi on taskID,
+// or an empty cell when the worker has no evidence there.
+func (e *Estimator) Evidence(wi int32, taskID int) Cell {
 	col := e.Column(taskID)
 	if i, ok := find(col, wi); ok {
 		return col[i]
@@ -272,16 +278,11 @@ func (e *Estimator) DirtyWorkers() []string {
 }
 
 // DirtyTasks returns the tasks on which at least one worker's estimate
-// changed since the last ResetDirty, sorted. When DirtyAll reports true the
-// set is not exhaustive — every task must be considered stale.
-func (e *Estimator) DirtyTasks() []int {
-	out := make([]int, 0, len(e.dirtyT))
-	for t := range e.dirtyT {
-		out = append(out, t)
-	}
-	sort.Ints(out)
-	return out
-}
+// changed since the last ResetDirty, each once, in the order they became
+// dirty. When DirtyAll reports true the set is not exhaustive — every task
+// must be considered stale. The slice is shared: read-only, and valid until
+// the next Observe or ResetDirty.
+func (e *Estimator) DirtyTasks() []int { return e.dirtyT }
 
 // DirtyAll reports whether a change invalidated every task at once (a
 // worker's base accuracy moved after warm-up).
@@ -302,8 +303,11 @@ var (
 func (e *Estimator) ResetDirty() {
 	mDirtyWorkers.Set(float64(len(e.dirtyW)))
 	mDirtyTasks.Set(float64(len(e.dirtyT)))
-	e.dirtyW = make(map[string]bool)
-	e.dirtyT = make(map[int]bool)
+	clear(e.dirtyW)
+	for _, t := range e.dirtyT {
+		e.dirtyTask[t] = false
+	}
+	e.dirtyT = e.dirtyT[:0]
 	e.dirtyAll = false
 }
 
@@ -387,7 +391,7 @@ func (e *Estimator) Accuracy(id string, taskID int) float64 {
 	if !ok {
 		return DefaultBase
 	}
-	return e.CellAccuracy(e.evidence(wi, taskID))
+	return e.CellAccuracy(e.Evidence(wi, taskID))
 }
 
 // CellAccuracy returns the estimate p_i^w that cell c of a Column stands
@@ -401,7 +405,7 @@ func (e *Estimator) CellAccuracy(c Cell) float64 {
 // behind the estimate.
 func (e *Estimator) Mass(id string, taskID int) float64 {
 	if wi, ok := e.index[id]; ok {
-		return e.evidence(wi, taskID).den
+		return e.Evidence(wi, taskID).den
 	}
 	return 0
 }
@@ -416,7 +420,10 @@ func (e *Estimator) EffectiveCounts(id string, taskID int) (n1, n0 float64) {
 	if !ok {
 		return 0, 0
 	}
-	c := e.evidence(wi, taskID)
+	return e.cellCounts(e.Evidence(wi, taskID))
+}
+
+func (e *Estimator) cellCounts(c Cell) (n1, n0 float64) {
 	o := e.basis.Options()
 	restart := o.Alpha / (1 + o.Alpha)
 	num := c.num / restart
@@ -435,6 +442,12 @@ func (e *Estimator) EffectiveCounts(id string, taskID int) (n1, n0 float64) {
 func (e *Estimator) Uncertainty(id string, taskID int) float64 {
 	n1, n0 := e.EffectiveCounts(id, taskID)
 	return stats.UncertaintyVariance(n1, n0)
+}
+
+// CellUncertainty is Uncertainty for the evidence in cell c (see Evidence;
+// the empty Cell{} stands for a worker without evidence).
+func (e *Estimator) CellUncertainty(c Cell) float64 {
+	return stats.UncertaintyVariance(e.cellCounts(c))
 }
 
 // Observed returns a copy of the worker's observed accuracies q^w.

@@ -112,7 +112,7 @@ func assignmentRoundTime(n, maxNeighbors, workers int, seed int64) (time.Duratio
 		ix := assign.NewIndex(est, ids)
 		cands := make([]assign.CandidateAssignment, 0, n)
 		for tid := 0; tid < n; tid++ {
-			top := ix.TopWorkers(tid, 3, nil)
+			top := ix.TopWorkers(nil, tid, 3, nil)
 			if len(top) > 0 {
 				cands = append(cands, assign.CandidateAssignment{Task: tid, Workers: top})
 			}

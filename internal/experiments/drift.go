@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"icrowd/internal/core"
 	"icrowd/internal/qualify"
@@ -75,7 +76,8 @@ func ExtDrift(datasetName string, opt Options) (*SeriesResult, error) {
 
 // applyDrift makes half the pool non-stationary: experts decay toward 0.55
 // in their strong domains, and every third spammer-ish worker improves to
-// 0.85 in one domain (someone warmed up and got good).
+// 0.85 in one domain (someone warmed up and got good) — the first such
+// domain in name order, so the drifted pool depends only on its input.
 func applyDrift(ds interface{ Len() int }, pool []sim.Profile, horizon int) []sim.Profile {
 	out := clonePool(pool)
 	for i := range out {
@@ -86,8 +88,13 @@ func applyDrift(ds interface{ Len() int }, pool []sim.Profile, horizon int) []si
 		p.DriftSteps = horizon
 		p.DriftTo = map[string]float64{}
 		improved := false
-		for dom, a := range p.DomainAcc {
-			switch {
+		doms := make([]string, 0, len(p.DomainAcc))
+		for dom := range p.DomainAcc {
+			doms = append(doms, dom)
+		}
+		slices.Sort(doms)
+		for _, dom := range doms {
+			switch a := p.DomainAcc[dom]; {
 			case a >= 0.8:
 				p.DriftTo[dom] = 0.4 // fatigue
 			case a <= 0.6 && i%3 == 0 && !improved:

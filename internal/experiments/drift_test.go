@@ -1,6 +1,9 @@
 package experiments
 
-import "testing"
+import (
+	"reflect"
+	"testing"
+)
 
 func TestExtDriftRuns(t *testing.T) {
 	if testing.Short() {
@@ -20,5 +23,27 @@ func TestExtDriftRuns(t *testing.T) {
 	}
 	if len(res.Table.Rows) != 2 {
 		t.Fatalf("rows = %d", len(res.Table.Rows))
+	}
+}
+
+// TestApplyDriftDeterministic pins that the drifted pool depends only on
+// its input: which weak domain an improving worker learns must not follow
+// map iteration order, or the drift experiment's numbers change from run
+// to run under a fixed seed.
+func TestApplyDriftDeterministic(t *testing.T) {
+	for _, name := range Datasets {
+		ds, pool, err := LoadDataset(name, 1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := applyDrift(ds, pool, 100)
+		for run := 0; run < 20; run++ {
+			got := applyDrift(ds, pool, 100)
+			for i := range want {
+				if !reflect.DeepEqual(got[i].DriftTo, want[i].DriftTo) {
+					t.Fatalf("%s worker %d: drift targets %v, then %v", name, i, want[i].DriftTo, got[i].DriftTo)
+				}
+			}
+		}
 	}
 }
