@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test check lint vet race race-hot parity store-conformance load-smoke router-smoke trace-smoke bench-test bench bench-all bench-diff bench-diff-report clean
+.PHONY: all build test check lint vet race race-hot parity store-conformance fuzz-smoke load-smoke router-smoke trace-smoke bench-test bench bench-all bench-diff bench-diff-report clean
 
 all: build
 
@@ -35,12 +35,18 @@ race:
 race-hot:
 	$(GO) test -race ./internal/obsv ./internal/platform ./internal/shard
 
-# Backend conformance suite: every store.Backend implementation (the CRC
-# log and the segmented indexed store) must pass the same contract tests —
-# append/replay parity, torn-tail crash recovery, snapshot round-trips,
-# indexed-lookup equivalence. Run this when adding or changing a backend.
+# Event-log conformance suite: the contracts the platform relies on from
+# store.Log — append/replay parity, torn-tail crash recovery, snapshot
+# round-trips, LastSeq across a reopen. Run this when changing the log.
 store-conformance:
 	$(GO) test -run 'TestConformance' -count=1 ./internal/store
+
+# Short native fuzzing of the store's byte parsers (the log reader and the
+# snapshot parser), 10s per target; the seed corpora under
+# internal/store/testdata/fuzz also replay on every plain `go test`.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzReadTolerant$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s ./internal/store
 
 # End-to-end overload smoke: boot icrowd-server with admission control and
 # the per-worker limiter on, drive a short open-loop load pass, and fail
@@ -81,7 +87,7 @@ bench-test:
 # The gate a PR must pass. bench-diff runs report-only here because shared
 # CI machines are too noisy for a hard ns/op gate; run `make bench-diff`
 # on a quiet box before committing a perf-sensitive change.
-check: lint parity bench-test store-conformance race race-hot load-smoke router-smoke trace-smoke bench-diff-report
+check: lint parity bench-test store-conformance fuzz-smoke race race-hot load-smoke router-smoke trace-smoke bench-diff-report
 
 # Hot-path benchmarks -> BENCH_hotpath.json (sequential vs parallel
 # precompute, incremental scheme recompute, /assign read throughput).

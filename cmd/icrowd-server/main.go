@@ -57,11 +57,10 @@ func main() {
 		threshold   = flag.Float64("threshold", 0.25, "similarity threshold")
 		logPath     = flag.String("log", "", "event-log file; replayed on startup for crash recovery (single-project mode)")
 		dataDir     = flag.String("data-dir", "", "multi-project data directory: each project's events live under <dir>/<id>/, every project found is resumed on startup (mutually exclusive with -log)")
-		backendKind = flag.String("backend", "log", "durable store backend: log (single CRC-framed file) or indexed (segmented files + in-memory task/worker index; requires -data-dir)")
 		basisPath   = flag.String("basis", "", "basis cache file: loaded if present, else computed and saved (skips the offline PPR phase on restart)")
 		lease       = flag.Duration("lease", 0, "assignment lease: reclaim tasks from workers silent this long (0 disables)")
 		fsync       = flag.String("fsync", "never", "event-log fsync policy: never, always, or an integer N (fsync every N appends)")
-		snapEvery   = flag.Int("snapshot-every", 0, "snapshot+compact the event log every N appends (0 disables; requires -log)")
+		snapEvery   = flag.Int("snapshot-every", 0, "snapshot+compact the event log every N appends (0 disables; requires -log or -data-dir)")
 		conc        = flag.Int("concurrency", 0, "PPR basis precompute fan-out (0 = GOMAXPROCS, 1 = sequential)")
 		maxInFlight = flag.Int("max-inflight", 0, "admission control: max concurrent write requests (0 disables)")
 		queueDepth  = flag.Int("queue-depth", 64, "admission control: requests allowed to wait for a slot before new arrivals are shed with 429")
@@ -165,26 +164,19 @@ func main() {
 
 	// Durable storage. -log keeps the single-file, single-project layout;
 	// -data-dir switches to the multi-project store (one subdirectory per
-	// project, -backend selecting the layout inside each).
-	kind, err := store.ParseBackendKind(*backendKind)
-	if err != nil {
-		fail(err)
-	}
+	// project).
 	if *logPath != "" && *dataDir != "" {
 		fail(fmt.Errorf("-log and -data-dir are mutually exclusive"))
-	}
-	if kind != store.BackendLog && *dataDir == "" {
-		fail(fmt.Errorf("-backend %s requires -data-dir (-log always uses the log backend)", kind))
 	}
 	if *snapEvery > 0 && *logPath == "" && *dataDir == "" {
 		fail(fmt.Errorf("-snapshot-every requires -log or -data-dir"))
 	}
-	storeOpts := []store.Option{store.WithBackendKind(kind), store.WithFsync(syncEvery)}
+	storeOpts := []store.Option{store.WithFsync(syncEvery)}
 	if *snapEvery > 0 {
 		storeOpts = append(storeOpts, store.WithSnapshotEvery(*snapEvery))
 	}
 	var (
-		backend store.Backend
+		backend *store.Log
 		recov   *store.RecoverInfo
 		pstore  *store.ProjectStore
 	)
@@ -263,7 +255,6 @@ func main() {
 			slog.Float64("degrade_burn", *sloBurn))
 	}
 	if backend != nil {
-		defer srv.Close()
 		if recov != nil && recov.Tail != nil {
 			logger.Warn("repaired damaged log tail",
 				slog.String("tail", recov.Tail.String()))
@@ -291,16 +282,15 @@ func main() {
 		}
 		logger.Info("multi-project serving enabled",
 			slog.String("data_dir", *dataDir),
-			slog.String("backend", string(kind)),
 			slog.Int("projects_resumed", resumed))
 	}
+	stopSweeper := func() {}
 	if *lease > 0 {
 		interval := *lease / 4
 		if interval < time.Second {
 			interval = time.Second
 		}
-		stop := srv.StartSweeper(interval)
-		defer stop()
+		stopSweeper = srv.StartSweeper(interval)
 		logger.Info("assignment leases enabled",
 			slog.Duration("lease", *lease), slog.Duration("sweep_every", interval))
 	}
@@ -329,7 +319,7 @@ func main() {
 		slog.String("addr", *addr))
 
 	// Serve until SIGINT/SIGTERM, then drain in-flight requests before
-	// exiting so the deferred log close and sweeper stop run cleanly.
+	// stopping the sweeper and closing the event logs.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
@@ -348,6 +338,13 @@ func main() {
 			logger.Error("shutdown did not drain cleanly", slog.String("error", err.Error()))
 		}
 	}
+	stopSweeper()
+	if err := srv.Close(); err != nil {
+		// The final fsync or close failed: acknowledged events may not be
+		// durable, so the exit status must say so.
+		logger.Error("closing the event log failed", slog.String("error", err.Error()))
+		os.Exit(1)
+	}
 }
 
 // projectSeed derives a stable per-project strategy seed from the base
@@ -363,8 +360,8 @@ func projectSeed(base int64, id string) int64 {
 	return base ^ int64(h.Sum64()&math.MaxInt64)
 }
 
-// parseFsync maps the -fsync flag to Options.SyncEvery: "never" -> 0,
-// "always" -> 1, "N" -> every N appends.
+// parseFsync maps the -fsync flag to store.WithFsync's argument:
+// "never" -> 0, "always" -> 1, "N" -> every N appends.
 func parseFsync(s string) (int, error) {
 	switch s {
 	case "never", "":

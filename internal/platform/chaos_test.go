@@ -93,10 +93,8 @@ func TestChaosSoak(t *testing.T) {
 	}
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "events.jsonl")
-	snapPath := logPath + ".snap"
-	l, _, err := store.OpenWithOptions(logPath, store.Options{
-		SyncEvery: 8, SnapshotPath: snapPath, SnapshotEvery: 40,
-	})
+	storeOpts := []store.Option{store.WithFsync(8), store.WithSnapshotEvery(40)}
+	l, _, err := store.Open(logPath, storeOpts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,8 +209,11 @@ func TestChaosSoak(t *testing.T) {
 
 	// Invariant 2: no task collected more submissions than its quota, even
 	// under duplicated deliveries and lease churn.
-	info, err := store.Load(logPath, snapPath)
+	l2, info, err := store.Open(logPath, storeOpts...)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
 	perTask := map[int]int{}

@@ -119,7 +119,7 @@ func (s *Server) sweepProject(ctx context.Context, p *project) []string {
 			if p.backend != nil {
 				lsp := s.tracer.Child(ctx, "log.append")
 				lsp.Annotate("worker=" + w)
-				e := store.AppendInactive(p.backend, w)
+				e := p.backend.AppendInactive(w)
 				lsp.End()
 				if e != nil {
 					logErr = e

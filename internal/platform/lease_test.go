@@ -180,15 +180,15 @@ func TestRestoreRebuildsDedupAndLeases(t *testing.T) {
 	_ = l.Close()
 
 	st2, _ := baseline.NewRandomMV(ds, 3, nil, 5)
-	info, err := store.Load(logPath, "")
+	events, err := store.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Replay(info.Events, st2); err != nil {
+	if err := store.Replay(events, st2); err != nil {
 		t.Fatal(err)
 	}
 	so2 := NewServer(st2, ds)
-	so2.Restore(info.Events)
+	so2.Restore(events)
 	srv2 := httptest.NewServer(so2.Handler())
 	defer srv2.Close()
 	c2 := &Client{BaseURL: srv2.URL}

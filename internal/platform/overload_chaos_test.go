@@ -183,12 +183,12 @@ func TestChaosOverloadBurst(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	info, err := store.Load(logPath, "")
+	events, err := store.ReadFile(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	perTask := map[int]int{}
-	for _, ev := range info.Events {
+	for _, ev := range events {
 		if ev.Kind == store.EventSubmit {
 			perTask[ev.Task]++
 		}

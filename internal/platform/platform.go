@@ -229,10 +229,10 @@ type project struct {
 	st core.Strategy
 	// concSafe caches the strategy's ConcurrencySafe marker.
 	concSafe bool
-	// backend, when non-nil, is the project's durable event store. It is
+	// backend, when non-nil, is the project's durable event log. It is
 	// bound at construction (WithBackend, EnableProjects/CreateProject)
 	// and immutable afterwards — there is no live swap.
-	backend store.Backend
+	backend *store.Log
 
 	// stMu serializes strategy calls for strategies that are not
 	// concurrency-safe (the single-threaded baselines).
@@ -264,13 +264,13 @@ type project struct {
 // functional-options style.
 type ServerOption func(*Server)
 
-// WithBackend binds the default project's durable event store at
+// WithBackend binds the default project's durable event log at
 // construction: every assignment, submission and worker departure is
 // appended, so a restarted server can rebuild its state with store.Replay
 // over a fresh strategy. Binding at construction (rather than a mutable
-// setter) means the backend reference is immutable once the server takes
+// setter) means the log reference is immutable once the server takes
 // traffic — there is no swap-a-log race surface.
-func WithBackend(b store.Backend) ServerOption {
+func WithBackend(b *store.Log) ServerOption {
 	return func(s *Server) { s.def.backend = b }
 }
 
@@ -680,7 +680,7 @@ func (s *Server) handleAssign(p *project, w http.ResponseWriter, r *http.Request
 		p.strategyUnlock()
 		if p.backend != nil {
 			lsp := s.tracer.Child(r.Context(), "log.append")
-			err := store.AppendAssign(p.backend, worker, tid)
+			err := p.backend.AppendAssign(worker, tid)
 			lsp.End()
 			if err != nil {
 				// Roll the uncommitted assignment back so the strategy and
@@ -766,7 +766,7 @@ func (s *Server) handleSubmit(p *project, w http.ResponseWriter, r *http.Request
 	p.withLogOrder(func() {
 		if p.backend != nil {
 			lsp := s.tracer.Child(r.Context(), "log.append")
-			e := store.AppendSubmit(p.backend, req.WorkerID, req.TaskID, ans)
+			e := p.backend.AppendSubmit(req.WorkerID, req.TaskID, ans)
 			lsp.End()
 			if e != nil {
 				logErr = e
@@ -853,7 +853,7 @@ func (s *Server) handleInactive(p *project, w http.ResponseWriter, r *http.Reque
 	p.withLogOrder(func() {
 		if p.backend != nil {
 			lsp := s.tracer.Child(r.Context(), "log.append")
-			e := store.AppendInactive(p.backend, worker)
+			e := p.backend.AppendInactive(worker)
 			lsp.End()
 			if e != nil {
 				logErr = e

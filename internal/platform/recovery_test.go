@@ -67,7 +67,11 @@ func TestServerLogsAndRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := store.RecoverFile(path, st2); err != nil {
+	events, err := store.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Replay(events, st2); err != nil {
 		t.Fatal(err)
 	}
 	for _, tid := range did {

@@ -25,7 +25,7 @@ type shardProc struct {
 	addr    string
 	url     string
 	logPath string
-	backend store.Backend
+	backend *store.Log
 	server  *platform.Server
 	http    *http.Server
 }
@@ -265,11 +265,11 @@ func TestChaosKillShard(t *testing.T) {
 	}
 	submits := map[wt]int{}
 	for i, p := range shards {
-		_, info, err := store.Open(p.logPath)
+		events, err := store.ReadFile(p.logPath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, ev := range info.Events {
+		for _, ev := range events {
 			// Ownership: a shard's log only ever holds its own workers'
 			// events — the router never mis-routes, and a worker's history
 			// never splits across logs.

@@ -30,44 +30,38 @@ func ValidProjectID(id string) bool {
 }
 
 // ProjectStore is the Projects() namespace over a directory: every named
-// project owns one Backend rooted in its own subdirectory, so a server
-// hosting many projects keeps their histories isolated and a restarted
-// server can enumerate and resume every project found on disk — the
-// "crashed driver resumes instead of re-paying the crowd" property,
-// per project.
+// project owns one Log in its own subdirectory, so a server hosting many
+// projects keeps their histories isolated and a restarted server can
+// enumerate and resume every project found on disk — the "crashed driver
+// resumes instead of re-paying the crowd" property, per project.
 //
-// Layout: <root>/<id>/ holds the project's store — "events.log" (plus
-// "events.log.snap" when snapshotting) for the log backend, or the
-// segmented IndexedBackend layout when opened with
-// WithBackendKind(BackendIndexed). The backend kind and durability options
-// given to OpenProjects apply to every project opened through it.
+// Layout: <root>/<id>/events.log holds the project's log (plus
+// events.log.snap when snapshotting). The options given to OpenProjects
+// apply to every project opened through it.
 type ProjectStore struct {
 	root string
 	opts []Option
 
 	mu     sync.Mutex
-	open   map[string]Backend
+	open   map[string]*Log
 	closed bool
 }
 
 // OpenProjects opens (creating if needed) the multi-project store rooted
-// at root. The options are applied to every project backend opened through
+// at root. The options are applied to every project log opened through
 // the store.
 func OpenProjects(root string, opts ...Option) (*ProjectStore, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, err
 	}
-	return &ProjectStore{root: root, opts: opts, open: map[string]Backend{}}, nil
+	return &ProjectStore{root: root, opts: opts, open: map[string]*Log{}}, nil
 }
 
-// Root returns the store's root directory.
-func (ps *ProjectStore) Root() string { return ps.root }
-
-// Project opens (creating if needed) the named project's backend and
-// returns it with what was recovered from disk. A project already opened
-// through this store is returned as-is with a nil RecoverInfo — the
-// history was reported when it was first opened.
-func (ps *ProjectStore) Project(id string) (Backend, *RecoverInfo, error) {
+// Project opens (creating if needed) the named project's log and returns
+// it with what was recovered from disk. A project already opened through
+// this store is returned as-is with a nil RecoverInfo — the history was
+// reported when it was first opened.
+func (ps *ProjectStore) Project(id string) (*Log, *RecoverInfo, error) {
 	if !ValidProjectID(id) {
 		return nil, nil, fmt.Errorf("store: invalid project id %q", id)
 	}
@@ -76,24 +70,19 @@ func (ps *ProjectStore) Project(id string) (Backend, *RecoverInfo, error) {
 	if ps.closed {
 		return nil, nil, fmt.Errorf("store: project store %s is closed", ps.root)
 	}
-	if b, ok := ps.open[id]; ok {
-		return b, nil, nil
+	if l, ok := ps.open[id]; ok {
+		return l, nil, nil
 	}
 	dir := filepath.Join(ps.root, id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
 	}
-	cfg := resolveOptions(ps.opts)
-	path := dir
-	if cfg.kind == BackendLog {
-		path = filepath.Join(dir, "events.log")
-	}
-	b, info, err := Open(path, ps.opts...)
+	l, info, err := Open(filepath.Join(dir, "events.log"), ps.opts...)
 	if err != nil {
 		return nil, nil, err
 	}
-	ps.open[id] = b
-	return b, info, nil
+	ps.open[id] = l
+	return l, info, nil
 }
 
 // Projects returns the project ids present on disk, sorted. Every id a
@@ -114,8 +103,8 @@ func (ps *ProjectStore) Projects() ([]string, error) {
 	return ids, nil
 }
 
-// Close closes every backend opened through the store. Idempotent; the
-// first close error wins.
+// Close closes every log opened through the store. Idempotent; the first
+// close error wins.
 func (ps *ProjectStore) Close() error {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
@@ -124,8 +113,8 @@ func (ps *ProjectStore) Close() error {
 	}
 	ps.closed = true
 	var first error
-	for _, b := range ps.open {
-		if err := b.Close(); err != nil && first == nil {
+	for _, l := range ps.open {
+		if err := l.Close(); err != nil && first == nil {
 			first = err
 		}
 	}

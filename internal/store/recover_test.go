@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"os"
 	"path/filepath"
@@ -22,10 +23,10 @@ func writeFramedLog(t *testing.T, n int) (string, []Event) {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := AppendAssign(l, "w", i); err != nil {
+		if err := l.AppendAssign("w", i); err != nil {
 			t.Fatal(err)
 		}
-		if err := AppendSubmit(l, "w", i, task.Yes); err != nil {
+		if err := l.AppendSubmit("w", i, task.Yes); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -66,14 +67,14 @@ func TestRecoverTruncatedFinalLine(t *testing.T) {
 
 	// Open repairs the tear: the file is truncated to the valid prefix,
 	// the torn bytes are preserved, and appends continue the sequence.
-	l, info, err := OpenWithOptions(path, Options{})
+	l, info, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if info.Tail == nil || len(info.Events) != 5 {
 		t.Fatalf("open info = %+v", info)
 	}
-	if err := AppendInactive(l, "w"); err != nil {
+	if err := l.AppendInactive("w"); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -139,7 +140,7 @@ func TestRecoverCorruptMiddleRecord(t *testing.T) {
 	if err := os.WriteFile(path, corrupt, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	l, info, err := OpenWithOptions(path, Options{})
+	l, info, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,18 +172,19 @@ func TestRecoveryFromRepairedPrefixReplays(t *testing.T) {
 		if !ok {
 			break
 		}
-		_ = AppendAssign(l, "a", tid)
+		_ = l.AppendAssign("a", tid)
 		_ = orig.SubmitAnswer("a", tid, task.Yes)
-		_ = AppendSubmit(l, "a", tid, task.Yes)
+		_ = l.AppendSubmit("a", tid, task.Yes)
 	}
 	_ = l.Close()
 	raw, _ := os.ReadFile(path)
 	_ = os.WriteFile(path, raw[:len(raw)-11], 0o644)
 
-	info, err := Load(path, "")
+	l, info, err := Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	_ = l.Close()
 	if info.Tail == nil {
 		t.Fatal("tear must be diagnosed")
 	}
@@ -194,7 +196,7 @@ func TestRecoveryFromRepairedPrefixReplays(t *testing.T) {
 
 func TestAppendWriteError(t *testing.T) {
 	l := NewWriter(failingWriter{})
-	err := AppendAssign(l, "w", 1)
+	err := l.AppendAssign("w", 1)
 	if err == nil {
 		t.Fatal("expected write error")
 	}
@@ -236,8 +238,8 @@ func TestSnapshotCompaction(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "events.jsonl")
 	snapPath := logPath + ".snap"
-	opts := Options{SnapshotPath: snapPath, SnapshotEvery: 4, SyncEvery: 2}
-	l, info, err := OpenWithOptions(logPath, opts)
+	opts := []Option{WithSnapshotEvery(4), WithFsync(2)}
+	l, info, err := Open(logPath, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,10 +247,10 @@ func TestSnapshotCompaction(t *testing.T) {
 		t.Fatalf("fresh log has %d events", len(info.Events))
 	}
 	for i := 0; i < 5; i++ {
-		if err := AppendAssign(l, "w", i); err != nil {
+		if err := l.AppendAssign("w", i); err != nil {
 			t.Fatal(err)
 		}
-		if err := AppendSubmit(l, "w", i, task.Yes); err != nil {
+		if err := l.AppendSubmit("w", i, task.Yes); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -276,7 +278,7 @@ func TestSnapshotCompaction(t *testing.T) {
 	}
 
 	// Reopening merges snapshot + tail and continues the sequence.
-	l2, info2, err := OpenWithOptions(logPath, opts)
+	l2, info2, err := Open(logPath, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,22 +290,23 @@ func TestSnapshotCompaction(t *testing.T) {
 			t.Fatalf("merged seq %d at index %d", e.Seq, i)
 		}
 	}
-	if err := AppendInactive(l2, "w"); err != nil {
+	if err := l2.AppendInactive("w"); err != nil {
 		t.Fatal(err)
 	}
 	_ = l2.Close()
-	info3, err := Load(logPath, snapPath)
+	l3, info3, err := Open(logPath, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	_ = l3.Close()
 	if len(info3.Events) != 11 || info3.Events[10].Seq != 11 {
 		t.Fatalf("after reopen+append: %d events", len(info3.Events))
 	}
 
 	// A compacted log opened without its snapshot must refuse, not
 	// silently lose the prefix.
-	if _, err := Load(logPath, ""); err == nil {
-		t.Fatal("compacted log without snapshot must refuse to load")
+	if _, _, err := Open(logPath); err == nil {
+		t.Fatal("compacted log without snapshot must refuse to open")
 	}
 }
 
@@ -313,14 +316,14 @@ func TestSnapshotOverlapAfterCrash(t *testing.T) {
 	dir := t.TempDir()
 	logPath := filepath.Join(dir, "events.jsonl")
 	snapPath := logPath + ".snap"
-	l, _, err := OpenWithOptions(logPath, Options{})
+	l, _, err := Open(logPath)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var all []Event
 	for i := 0; i < 3; i++ {
-		_ = AppendAssign(l, "w", i)
-		_ = AppendSubmit(l, "w", i, task.No)
+		_ = l.AppendAssign("w", i)
+		_ = l.AppendSubmit("w", i, task.No)
 	}
 	_ = l.Close()
 	all, err = ReadFile(logPath)
@@ -331,10 +334,11 @@ func TestSnapshotOverlapAfterCrash(t *testing.T) {
 	if err := WriteSnapshot(snapPath, all[:4]); err != nil {
 		t.Fatal(err)
 	}
-	info, err := Load(logPath, snapPath)
+	l2, info, err := Open(logPath, WithSnapshotEvery(100))
 	if err != nil {
 		t.Fatal(err)
 	}
+	_ = l2.Close()
 	if len(info.Events) != 6 || info.FromSnapshot != 4 {
 		t.Fatalf("overlap merge: %d events, %d from snapshot", len(info.Events), info.FromSnapshot)
 	}
@@ -360,6 +364,181 @@ func TestReadSnapshotRejectsDamage(t *testing.T) {
 	}
 	if _, err := ReadSnapshot(filepath.Join(t.TempDir(), "none.snap")); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("missing snapshot: %v", err)
+	}
+
+	// A checksummed snapshot that does not start at seq 1 lost its prefix:
+	// neither ReadSnapshot nor Open may take it as the full history.
+	logPath := filepath.Join(t.TempDir(), "events.log")
+	if err := WriteSnapshot(logPath+".snap", []Event{
+		{Seq: 5, Kind: EventInactive, Worker: "w"},
+		{Seq: 6, Kind: EventInactive, Worker: "w"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadSnapshot(logPath + ".snap"); err == nil {
+		t.Fatal("snapshot starting at seq 5 must be rejected")
+	}
+	if l, info, err := Open(logPath, WithSnapshotEvery(4)); err == nil {
+		l.Close()
+		t.Fatalf("Open accepted a snapshot starting at seq 5 as %d events", len(info.Events))
+	}
+}
+
+// framed returns e as one framed log line.
+func framed(t testing.TB, e Event) []byte {
+	t.Helper()
+	b, err := json.Marshal(e)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frameLine(b)
+}
+
+// tornOnceWriter stores the first half of the first record it is given
+// and then fails, as a disk that fills up mid-write does; later writes
+// pass through to f.
+type tornOnceWriter struct {
+	f    *os.File
+	torn bool
+}
+
+func (w *tornOnceWriter) Write(b []byte) (int, error) {
+	if w.torn {
+		return w.f.Write(b)
+	}
+	w.torn = true
+	n, _ := w.f.Write(b[:len(b)/2])
+	return n, errDiskGone
+}
+
+func TestFailedWriteIsRolledBack(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "events.log")
+	l, _, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendAssign("a", 1); err != nil {
+		t.Fatal(err)
+	}
+	l.w = &tornOnceWriter{f: l.f}
+	if err := l.AppendSubmit("a", 1, task.Yes); !errors.Is(err, errDiskGone) {
+		t.Fatalf("torn write: got %v, want the write error", err)
+	}
+	if got := l.LastSeq(); got != 1 {
+		t.Fatalf("LastSeq after a failed append = %d, want 1", got)
+	}
+	// Two acknowledged appends after the failure.
+	if err := l.AppendSubmit("a", 1, task.Yes); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendInactive("a"); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Healthy(); err != nil {
+		t.Fatalf("Healthy after a rolled-back failure and a success = %v", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, info, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if info.Tail != nil || len(info.Events) != 3 {
+		t.Fatalf("reopen recovered %d events with tail %v, want all 3 acknowledged events and no damage", len(info.Events), info.Tail)
+	}
+	if info.Events[1].Kind != EventSubmit || info.Events[2].Seq != 3 {
+		t.Fatalf("recovered %+v", info.Events)
+	}
+}
+
+// devNullSyncFails opens os.DevNull, skipping the test where fsync on it
+// succeeds (it fails with EINVAL on Linux).
+func devNullSyncFails(t *testing.T) *os.File {
+	t.Helper()
+	f, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Skipf("open %s: %v", os.DevNull, err)
+	}
+	if f.Sync() == nil {
+		f.Close()
+		t.Skipf("fsync on %s succeeds on this platform", os.DevNull)
+	}
+	return f
+}
+
+// TestFailedFsyncIsNotLoggedTwice fails the fsync of a submit the way a
+// dying disk does. The client sees a failure and retries (DESIGN §5), so
+// the log must neither consume the failed append's sequence number nor
+// accept the retry on top of a record it could not roll back.
+func TestFailedFsyncIsNotLoggedTwice(t *testing.T) {
+	devNull := devNullSyncFails(t)
+	ds := task.ProductMatching()
+	path := filepath.Join(t.TempDir(), "events.log")
+	l, _, err := Open(path, WithFsync(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := baseline.NewRandomMV(ds, 3, nil, 7)
+	tid, ok := st.RequestTask("a")
+	if !ok {
+		t.Fatal("no task")
+	}
+	if err := l.AppendAssign("a", tid); err != nil {
+		t.Fatal(err)
+	}
+	file := l.f
+	l.f = devNull
+	var we *WriteError
+	if err := l.AppendSubmit("a", tid, task.Yes); !errors.As(err, &we) || we.Op != "sync" {
+		t.Fatalf("submit with failing fsync: got %v, want a sync WriteError", err)
+	}
+	if got := l.LastSeq(); got != 1 {
+		t.Fatalf("LastSeq after a failed fsync = %d, want 1", got)
+	}
+	// The record cannot be truncated away from os.DevNull, so the log must
+	// refuse the retry and stay unhealthy, even once fsync works again.
+	l.f = file
+	if err := l.AppendSubmit("a", tid, task.Yes); err == nil {
+		t.Fatal("retry accepted on top of a failed append that was not rolled back")
+	}
+	if err := l.Healthy(); err == nil {
+		t.Fatal("Healthy must stay non-nil until the log is reopened")
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	devNull.Close()
+	l2, info, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if err := l2.Healthy(); err != nil {
+		t.Fatalf("reopened log unhealthy: %v", err)
+	}
+	fresh, _ := baseline.NewRandomMV(ds, 3, nil, 7)
+	if err := Replay(info.Events, fresh); err != nil {
+		t.Fatalf("replay after a failed fsync: %v", err)
+	}
+}
+
+func TestCloseReportsFinalFsync(t *testing.T) {
+	devNullSyncFails(t).Close()
+	l, _, err := Open(os.DevNull, WithFsync(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.AppendInactive("w"); err != nil {
+		t.Fatal(err)
+	}
+	var we *WriteError
+	if err := l.Close(); !errors.As(err, &we) || we.Op != "sync" {
+		t.Fatalf("Close with an unsynced append and a failing fsync = %v, want a sync WriteError", err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatalf("second Close = %v, want nil", err)
 	}
 }
 

@@ -65,29 +65,35 @@ func ReadSnapshot(path string) ([]Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	line := bytes.TrimRight(raw, "\n")
-	body := line
-	if len(line) > 9 && line[8] == ' ' && isHex8(line[:8]) {
-		var want uint32
-		if _, err := fmt.Sscanf(string(line[:8]), "%08x", &want); err != nil {
-			return nil, fmt.Errorf("store: snapshot %s: bad checksum field: %w", path, err)
-		}
-		body = line[9:]
-		if got := checksum(body); got != want {
-			return nil, fmt.Errorf("store: snapshot %s: checksum mismatch: record %08x, computed %08x", path, want, got)
-		}
+	events, err := parseSnapshot(raw)
+	if err != nil {
+		return nil, fmt.Errorf("store: snapshot %s: %w", path, err)
+	}
+	return events, nil
+}
+
+// parseSnapshot decodes and validates a snapshot file's bytes: the history
+// must start at seq 1 (a snapshot always holds the full history) and run
+// contiguously up to the header's seq.
+func parseSnapshot(raw []byte) ([]Event, error) {
+	body, err := unframe(bytes.TrimRight(raw, "\n"))
+	if err != nil {
+		return nil, err
 	}
 	var sf snapshotFile
 	if err := json.Unmarshal(body, &sf); err != nil {
-		return nil, fmt.Errorf("store: snapshot %s: %w", path, err)
+		return nil, err
 	}
 	for i, e := range sf.Events {
+		if i == 0 && e.Seq != 1 {
+			return nil, fmt.Errorf("first sequence %d, want 1", e.Seq)
+		}
 		if i > 0 && e.Seq != sf.Events[i-1].Seq+1 {
-			return nil, fmt.Errorf("store: snapshot %s: sequence %d after %d", path, e.Seq, sf.Events[i-1].Seq)
+			return nil, fmt.Errorf("sequence %d after %d", e.Seq, sf.Events[i-1].Seq)
 		}
 	}
 	if n := len(sf.Events); n > 0 && sf.Events[n-1].Seq != sf.Seq {
-		return nil, fmt.Errorf("store: snapshot %s: header seq %d, last event %d", path, sf.Seq, sf.Events[n-1].Seq)
+		return nil, fmt.Errorf("header seq %d, last event %d", sf.Seq, sf.Events[n-1].Seq)
 	}
 	return sf.Events, nil
 }

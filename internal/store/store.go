@@ -18,12 +18,12 @@
 // accepted without checksum verification. Open repairs a torn tail — a
 // final record cut short by a crash — by truncating the file back to its
 // longest valid prefix (the discarded bytes are preserved next to the log
-// in a ".corrupt" file). Fsync frequency is configurable via
-// Options.SyncEvery, and Options.SnapshotPath enables periodic
+// in a ".corrupt" file). A failed append leaves the log as it was. Fsync
+// frequency is set with WithFsync, and WithSnapshotEvery enables periodic
 // snapshot+compaction so the live log stays short: the full event history
-// is atomically written to one checksummed snapshot file and the log is
-// truncated, making recovery read a single bulk blob plus a bounded tail
-// instead of an ever-growing line-by-line scan.
+// is atomically written to one checksummed snapshot file next to the log
+// and the log is truncated, making recovery read a single bulk blob plus a
+// bounded tail instead of an ever-growing line-by-line scan.
 package store
 
 import (
@@ -76,7 +76,8 @@ type Event struct {
 // It wraps the underlying I/O error; servers should treat it as a signal
 // that durability is compromised (e.g. respond 503, not 500).
 type WriteError struct {
-	// Op is the failing operation ("append", "sync", "marshal").
+	// Op is the failing operation ("append", "sync", "marshal",
+	// "truncate").
 	Op string
 	// Path is the log file path ("" for in-memory logs).
 	Path string
@@ -114,73 +115,72 @@ func (t *Tail) String() string {
 		t.Line, t.Offset, t.TrailingLines, t.Reason)
 }
 
-// Options configures durability behaviour for OpenWithOptions.
-type Options struct {
-	// SyncEvery controls fsync frequency: 0 never fsyncs (the OS decides),
-	// 1 fsyncs after every append, N fsyncs after every N appends.
-	SyncEvery int
-	// SnapshotPath, when non-empty, enables snapshot+compaction: the full
-	// event history is periodically written to this file (atomically, via
-	// rename) and the live log is truncated to empty.
-	SnapshotPath string
-	// SnapshotEvery is the number of appends between automatic snapshots
-	// (default 1024 when SnapshotPath is set).
-	SnapshotEvery int
-}
-
-// RecoverInfo reports what OpenWithOptions or Load reconstructed.
+// RecoverInfo reports what Open reconstructed.
 type RecoverInfo struct {
 	// Events is the full replayable history (snapshot + log prefix).
 	Events []Event
 	// FromSnapshot is how many of Events came from the snapshot file.
 	FromSnapshot int
 	// Tail is non-nil when the log ended in a torn or corrupt suffix that
-	// was dropped (and, under Open, truncated away after being preserved
-	// in a ".corrupt" file).
+	// was dropped (after being preserved in a ".corrupt" file).
 	Tail *Tail
 }
 
-// Log is an append-only JSON-lines event log with per-record checksums.
-// It is the BackendLog implementation of the Backend interface; LogBackend
-// is the interface-facing alias. Indexed lookups (Replay, EventsByTask,
-// EventsByWorker) re-scan the file — O(full replay), the documented
-// trade-off against IndexedBackend.
+// Log is an append-only JSON-lines event log with per-record checksums:
+// one project's durable history.
 type Log struct {
 	mu        sync.Mutex
 	w         io.Writer
 	f         *os.File // owned file when opened via Open
 	path      string
 	next      int64
-	opts      Options
+	size      int64 // length of f after the last successful append
+	syncEvery int
+	snapPath  string // "" when snapshotting is off
+	snapEvery int
 	sinceSync int
 	sinceSnap int
 	retained  []Event // full history, kept only when snapshotting
 	snapErr   error   // last best-effort snapshot failure
 	lastErr   error   // last append/sync failure, cleared by a success
+	broken    error   // a failed append could not be rolled back
 }
 
-// LogBackend is the CRC-framed single-file append log behind the Backend
-// interface: torn-tail repair, fsync policy, and snapshot/compaction as
-// described in the package comment.
-type LogBackend = Log
+// config is the option set shared by Open and OpenProjects.
+type config struct {
+	syncEvery     int
+	snapshotEvery int
+}
 
-var _ Backend = (*Log)(nil)
+// Option configures Open and OpenProjects.
+type Option func(*config)
 
-// OpenWithOptions opens the log at path, loads the snapshot (when
-// configured and present), scans and repairs the log, and returns the
-// combined replayable history. The returned RecoverInfo is valid even when
-// the log existed: pass RecoverInfo.Events to Replay to rebuild state.
-//
-// Deprecated: use the canonical Open with WithFsync / WithSnapshotPath /
-// WithSnapshotEvery options.
-func OpenWithOptions(path string, opts Options) (*Log, *RecoverInfo, error) {
-	if opts.SnapshotPath != "" && opts.SnapshotEvery <= 0 {
-		opts.SnapshotEvery = 1024
+// WithFsync controls fsync frequency: 0 never fsyncs (the OS decides),
+// 1 fsyncs after every append, N fsyncs after every N appends.
+func WithFsync(every int) Option {
+	return func(c *config) { c.syncEvery = every }
+}
+
+// WithSnapshotEvery enables snapshot+compaction every n appends; the
+// snapshot lands next to the log, at path + ".snap".
+func WithSnapshotEvery(n int) Option {
+	return func(c *config) { c.snapshotEvery = n }
+}
+
+// Open opens (creating if needed) the log at path, loads its snapshot
+// (when snapshotting is on and one exists), scans and repairs the log as
+// described in the package comment, and returns the log plus what was
+// recovered. Pass RecoverInfo.Events to Replay to rebuild strategy state.
+func Open(path string, opts ...Option) (*Log, *RecoverInfo, error) {
+	var cfg config
+	for _, o := range opts {
+		o(&cfg)
 	}
-	info := &RecoverInfo{}
+	l := &Log{path: path, next: 1, syncEvery: cfg.syncEvery, snapEvery: cfg.snapshotEvery}
 	var snap []Event
-	if opts.SnapshotPath != "" {
-		s, err := ReadSnapshot(opts.SnapshotPath)
+	if cfg.snapshotEvery > 0 {
+		l.snapPath = path + ".snap"
+		s, err := ReadSnapshot(l.snapPath)
 		if err != nil && !errors.Is(err, os.ErrNotExist) {
 			return nil, nil, err
 		}
@@ -190,66 +190,46 @@ func OpenWithOptions(path string, opts Options) (*Log, *RecoverInfo, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	logEvents, tail, err := scanFile(path)
+	info, err := l.load(f, snap)
 	if err != nil {
 		f.Close()
 		return nil, nil, err
-	}
-	merged, err := mergeHistory(snap, logEvents, path, opts.SnapshotPath)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if tail != nil {
-		// Repair: preserve the damaged suffix, then truncate it away so
-		// future appends extend the valid prefix.
-		if err := preserveCorrupt(path, tail.Offset); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		if err := f.Truncate(tail.Offset); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-	}
-	info.Events = merged
-	info.FromSnapshot = len(snap)
-	info.Tail = tail
-	var next int64 = 1
-	if n := len(merged); n > 0 {
-		next = merged[n-1].Seq + 1
-	}
-	l := &Log{w: f, f: f, path: path, next: next, opts: opts}
-	if opts.SnapshotPath != "" {
-		l.retained = append(l.retained, merged...)
-		l.sinceSnap = len(logEvents)
 	}
 	return l, info, nil
 }
 
-// Load reads the replayable history (snapshot + log) without opening the
-// log for appending. snapshotPath may be empty when snapshotting is not in
-// use. Unlike Open, Load never modifies the files.
-//
-// Deprecated: open the backend with the canonical Open (which returns the
-// same RecoverInfo) or query a live backend through Replay/EventsBy*.
-// Load remains for read-only offline inspection of log-backend files.
-func Load(logPath, snapshotPath string) (*RecoverInfo, error) {
-	var snap []Event
-	if snapshotPath != "" {
-		s, err := ReadSnapshot(snapshotPath)
-		if err != nil && !errors.Is(err, os.ErrNotExist) {
+// load scans the freshly opened log file f, merges it with the snapshot
+// events, repairs a damaged tail, and binds l to f.
+func (l *Log) load(f *os.File, snap []Event) (*RecoverInfo, error) {
+	logEvents, tail, err := ReadTolerant(f)
+	if err != nil {
+		return nil, err
+	}
+	merged, err := mergeHistory(snap, logEvents, l.path, l.snapPath)
+	if err != nil {
+		return nil, err
+	}
+	if tail != nil {
+		// Repair: preserve the damaged suffix, then truncate it away so
+		// future appends extend the valid prefix.
+		if err := preserveCorrupt(l.path, tail.Offset); err != nil {
 			return nil, err
 		}
-		snap = s
+		if err := f.Truncate(tail.Offset); err != nil {
+			return nil, err
+		}
 	}
-	logEvents, tail, err := scanFile(logPath)
+	fi, err := f.Stat()
 	if err != nil {
 		return nil, err
 	}
-	merged, err := mergeHistory(snap, logEvents, logPath, snapshotPath)
-	if err != nil {
-		return nil, err
+	l.w, l.f, l.size = f, f, fi.Size()
+	if n := len(merged); n > 0 {
+		l.next = merged[n-1].Seq + 1
+	}
+	if l.snapPath != "" {
+		l.retained = append(l.retained, merged...)
+		l.sinceSnap = len(logEvents)
 	}
 	return &RecoverInfo{Events: merged, FromSnapshot: len(snap), Tail: tail}, nil
 }
@@ -301,33 +281,27 @@ func preserveCorrupt(path string, offset int64) error {
 	return err
 }
 
-func scanFile(path string) ([]Event, *Tail, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, nil, nil
-		}
-		return nil, nil, err
-	}
-	defer f.Close()
-	return ReadTolerant(f)
-}
-
 // NewWriter wraps an arbitrary writer (for tests and in-memory use).
 func NewWriter(w io.Writer) *Log { return &Log{w: w, next: 1} }
 
-// Close fsyncs (when a sync policy is configured) and closes the
-// underlying file if the log owns one. Idempotent.
+// Close fsyncs any appends not yet synced under the fsync policy and
+// closes the underlying file if the log owns one; the first error wins.
+// Idempotent.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.f == nil {
 		return nil
 	}
-	if l.opts.SyncEvery > 0 && l.sinceSync > 0 {
-		_ = l.f.Sync()
+	var err error
+	if l.syncEvery > 0 && l.sinceSync > 0 {
+		if serr := l.f.Sync(); serr != nil {
+			err = &WriteError{Op: "sync", Path: l.path, Err: serr}
+		}
 	}
-	err := l.f.Close()
+	if cerr := l.f.Close(); err == nil {
+		err = cerr
+	}
 	l.f = nil
 	return err
 }
@@ -350,9 +324,9 @@ func (l *Log) AppendInactive(worker string) error {
 	return l.append(Event{Kind: EventInactive, Worker: worker})
 }
 
-// Append stamps e with the next sequence number and durably records it
-// (Backend interface). The Kind must be one of the Event kinds; Seq is
-// assigned by the log regardless of what the caller set.
+// Append stamps e with the next sequence number and durably records it.
+// The Kind must be one of the Event kinds; Seq is assigned by the log
+// regardless of what the caller set.
 func (l *Log) Append(e Event) (Event, error) {
 	switch e.Kind {
 	case EventAssign, EventSubmit, EventInactive:
@@ -360,52 +334,6 @@ func (l *Log) Append(e Event) (Event, error) {
 		return Event{}, fmt.Errorf("store: append: unknown kind %q", e.Kind)
 	}
 	return l.appendEvent(e)
-}
-
-// Replay returns the full replayable history (Backend interface): the
-// retained in-memory history when snapshotting is on, otherwise a fresh
-// scan of the snapshot and log files — O(full replay) by design; use
-// IndexedBackend when lookups must be cheap. In-memory writer logs
-// (NewWriter) hold no readable history and return ErrNotQueryable.
-func (l *Log) Replay() ([]Event, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.opts.SnapshotPath != "" {
-		return append([]Event(nil), l.retained...), nil
-	}
-	if l.path == "" {
-		return nil, ErrNotQueryable
-	}
-	info, err := Load(l.path, "")
-	if err != nil {
-		return nil, err
-	}
-	if info.Tail != nil {
-		// The tail was valid at open time; damage appearing afterwards is
-		// an integrity failure, not something to silently drop.
-		return nil, fmt.Errorf("store: log %s damaged since open: %s", l.path, info.Tail)
-	}
-	return info.Events, nil
-}
-
-// EventsByTask returns every event about taskID, in order (Backend
-// interface; scans the history — see Replay).
-func (l *Log) EventsByTask(taskID int) ([]Event, error) {
-	events, err := l.Replay()
-	if err != nil {
-		return nil, err
-	}
-	return filterEvents(events, func(e Event) bool { return concernsTask(e, taskID) }), nil
-}
-
-// EventsByWorker returns every event about worker, in order (Backend
-// interface; scans the history — see Replay).
-func (l *Log) EventsByWorker(worker string) ([]Event, error) {
-	events, err := l.Replay()
-	if err != nil {
-		return nil, err
-	}
-	return filterEvents(events, func(e Event) bool { return e.Worker == worker }), nil
 }
 
 // LastSeq returns the sequence number of the most recent event (0 when
@@ -435,63 +363,76 @@ func (l *Log) append(e Event) error {
 }
 
 // appendEvent stamps the sequence number under the lock and writes the
-// framed record; it returns the stamped event.
+// framed record; it returns the stamped event. A failed write or fsync
+// leaves the log as it was (see rollback).
 func (l *Log) appendEvent(e Event) (Event, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.broken != nil {
+		return Event{}, l.broken
+	}
 	e.Seq = l.next
 	b, err := json.Marshal(e)
 	if err != nil {
 		l.lastErr = &WriteError{Op: "marshal", Path: l.path, Err: err}
 		return Event{}, l.lastErr
 	}
-	if _, err := l.w.Write(frameLine(b)); err != nil {
-		l.lastErr = &WriteError{Op: "append", Path: l.path, Err: err}
-		return Event{}, l.lastErr
+	line := frameLine(b)
+	if _, err := l.w.Write(line); err != nil {
+		return Event{}, l.rollback("append", err)
 	}
-	l.next++
-	if l.opts.SyncEvery > 0 && l.f != nil {
-		l.sinceSync++
-		if l.sinceSync >= l.opts.SyncEvery {
+	if l.syncEvery > 0 && l.f != nil {
+		if l.sinceSync+1 >= l.syncEvery {
 			if err := l.f.Sync(); err != nil {
-				l.lastErr = &WriteError{Op: "sync", Path: l.path, Err: err}
-				return Event{}, l.lastErr
+				return Event{}, l.rollback("sync", err)
 			}
 			l.sinceSync = 0
+		} else {
+			l.sinceSync++
 		}
 	}
+	l.next++
+	l.size += int64(len(line))
 	l.lastErr = nil
-	if l.opts.SnapshotPath != "" {
+	if l.snapPath != "" {
 		l.retained = append(l.retained, e)
 		l.sinceSnap++
-		if l.sinceSnap >= l.opts.SnapshotEvery {
+		if l.sinceSnap >= l.snapEvery {
 			l.snapshotLocked()
 		}
 	}
 	return e, nil
 }
 
+// rollback records a failed write or fsync and truncates the owned file
+// back to its length before the append, so the failed record can never be
+// read back and the next append reuses its sequence number. When the
+// truncate fails too, the file may hold the failed record, so the log
+// refuses every later append until it is reopened (where Open's recovery
+// decides what survives). A NewWriter log has no file to roll back.
+func (l *Log) rollback(op string, err error) error {
+	werr := &WriteError{Op: op, Path: l.path, Err: err}
+	l.lastErr = werr
+	if l.f != nil {
+		if terr := l.f.Truncate(l.size); terr != nil {
+			l.broken = &WriteError{Op: "truncate", Path: l.path,
+				Err: fmt.Errorf("undoing failed %s: %w (appends refused until reopened)", op, terr)}
+			l.lastErr = l.broken
+		}
+	}
+	return werr
+}
+
 // Healthy reports the log's durability health: nil while the most recent
 // append (including its fsync, under a sync policy) succeeded, and the
-// failing append's error until a later append succeeds. Readiness probes
-// use it to flip a server not-ready while its event log is unwritable.
+// failing append's error until a later append succeeds — or, when a failed
+// append could not be rolled back, until the log is reopened. Readiness
+// probes use it to flip a server not-ready while its event log is
+// unwritable.
 func (l *Log) Healthy() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.lastErr
-}
-
-// Snapshot forces an immediate snapshot+compaction (no-op unless
-// Options.SnapshotPath was configured). The returned error is also
-// remembered and available via SnapshotErr.
-func (l *Log) Snapshot() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.opts.SnapshotPath == "" || l.f == nil {
-		return nil
-	}
-	l.snapshotLocked()
-	return l.snapErr
 }
 
 // SnapshotErr returns the error from the most recent automatic snapshot
@@ -505,7 +446,7 @@ func (l *Log) SnapshotErr() error {
 }
 
 func (l *Log) snapshotLocked() {
-	if err := WriteSnapshot(l.opts.SnapshotPath, l.retained); err != nil {
+	if err := WriteSnapshot(l.snapPath, l.retained); err != nil {
 		l.snapErr = err
 		return
 	}
@@ -515,6 +456,7 @@ func (l *Log) snapshotLocked() {
 		l.snapErr = err
 		return
 	}
+	l.size = 0
 	l.sinceSnap = 0
 	l.snapErr = nil
 }
@@ -522,16 +464,9 @@ func (l *Log) snapshotLocked() {
 // parseLine decodes one log line in either the checksummed "crc32c json"
 // format or the legacy plain-JSON format, and validates the event kind.
 func parseLine(raw []byte) (Event, error) {
-	body := raw
-	if len(raw) > 9 && raw[8] == ' ' && isHex8(raw[:8]) {
-		var want uint32
-		if _, err := fmt.Sscanf(string(raw[:8]), "%08x", &want); err != nil {
-			return Event{}, fmt.Errorf("bad checksum field: %w", err)
-		}
-		body = raw[9:]
-		if got := crc32.Checksum(body, crcTable); got != want {
-			return Event{}, fmt.Errorf("checksum mismatch: record %08x, computed %08x", want, got)
-		}
+	body, err := unframe(raw)
+	if err != nil {
+		return Event{}, err
 	}
 	var e Event
 	if err := json.Unmarshal(body, &e); err != nil {
@@ -543,6 +478,24 @@ func parseLine(raw []byte) (Event, error) {
 		return Event{}, fmt.Errorf("unknown kind %q", e.Kind)
 	}
 	return e, nil
+}
+
+// unframe returns the JSON payload of a "crc32c<SP>json" line after
+// verifying its checksum; an unframed (legacy plain-JSON) line is returned
+// as is.
+func unframe(line []byte) ([]byte, error) {
+	if len(line) <= 9 || line[8] != ' ' || !isHex8(line[:8]) {
+		return line, nil
+	}
+	var want uint32
+	if _, err := fmt.Sscanf(string(line[:8]), "%08x", &want); err != nil {
+		return nil, fmt.Errorf("bad checksum field: %w", err)
+	}
+	body := line[9:]
+	if got := checksum(body); got != want {
+		return nil, fmt.Errorf("checksum mismatch: record %08x, computed %08x", want, got)
+	}
+	return body, nil
 }
 
 func isHex8(b []byte) bool {
@@ -557,9 +510,10 @@ func isHex8(b []byte) bool {
 // ReadTolerant parses events from r, stopping at the first damaged record
 // (parse failure, checksum mismatch, or sequence discontinuity) instead of
 // failing: it returns the valid prefix plus a Tail describing what was
-// dropped. The sequence chain may start at any number (a compacted log
-// starts where its snapshot ended); the error is non-nil only for I/O
-// failures on r itself.
+// dropped. The sequence chain may start at any number from 1 up (a
+// compacted log starts where its snapshot ended); a sequence number below
+// 1, which the writer never produces, is damage. The error is non-nil only
+// for I/O failures on r itself.
 func ReadTolerant(r io.Reader) ([]Event, *Tail, error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var events []Event
@@ -581,6 +535,9 @@ func ReadTolerant(r io.Reader) ([]Event, *Tail, error) {
 					// prefix of a longer torn record; only a clean line
 					// boundary proves the write completed.
 					perr = errors.New("final record missing newline (torn write)")
+				}
+				if perr == nil && e.Seq < 1 {
+					perr = fmt.Errorf("sequence %d, want at least 1", e.Seq)
 				}
 				if perr == nil && want != 0 && e.Seq != want {
 					perr = fmt.Errorf("sequence %d, want %d", e.Seq, want)
@@ -616,7 +573,7 @@ func countLines(br *bufio.Reader) int {
 
 // Read parses all events from r strictly: any damaged record or sequence
 // gap is an error, and the sequence must start at 1. Use ReadTolerant (or
-// Open/Load, which repair and report) for crash recovery.
+// Open, which repairs and reports) for crash recovery.
 func Read(r io.Reader) ([]Event, error) {
 	events, tail, err := ReadTolerant(r)
 	if err != nil {
@@ -678,15 +635,4 @@ func Replay(events []Event, s core.Strategy) error {
 		}
 	}
 	return nil
-}
-
-// RecoverFile reads the log at path and replays it through the strategy
-// (strict read; no snapshot). Servers using snapshots or wanting torn-tail
-// tolerance should use Load or OpenWithOptions and call Replay themselves.
-func RecoverFile(path string, s core.Strategy) error {
-	events, err := ReadFile(path)
-	if err != nil {
-		return err
-	}
-	return Replay(events, s)
 }

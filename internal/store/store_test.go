@@ -15,16 +15,16 @@ import (
 func TestAppendAndRead(t *testing.T) {
 	var buf bytes.Buffer
 	l := NewWriter(&buf)
-	if err := AppendAssign(l, "w1", 3); err != nil {
+	if err := l.AppendAssign("w1", 3); err != nil {
 		t.Fatal(err)
 	}
-	if err := AppendSubmit(l, "w1", 3, task.Yes); err != nil {
+	if err := l.AppendSubmit("w1", 3, task.Yes); err != nil {
 		t.Fatal(err)
 	}
-	if err := AppendInactive(l, "w2"); err != nil {
+	if err := l.AppendInactive("w2"); err != nil {
 		t.Fatal(err)
 	}
-	if err := AppendSubmit(l, "w1", 3, task.None); err == nil {
+	if err := l.AppendSubmit("w1", 3, task.None); err == nil {
 		t.Fatal("None answer should error")
 	}
 	events, err := Read(&buf)
@@ -73,8 +73,8 @@ func TestOpenAppendsAcrossSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = AppendAssign(l, "a", 1)
-	_ = AppendSubmit(l, "a", 1, task.No)
+	_ = l.AppendAssign("a", 1)
+	_ = l.AppendSubmit("a", 1, task.No)
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestOpenAppendsAcrossSessions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = AppendInactive(l2, "a")
+	_ = l2.AppendInactive("a")
 	_ = l2.Close()
 	events, err := ReadFile(path)
 	if err != nil {
@@ -105,7 +105,7 @@ func drive(t *testing.T, s core.Strategy, ds *task.Dataset, seed int64, steps in
 		w := workers[rng.Intn(len(workers))]
 		if rng.Float64() < 0.05 {
 			s.WorkerInactive(w)
-			if err := AppendInactive(l, w); err != nil {
+			if err := l.AppendInactive(w); err != nil {
 				t.Fatal(err)
 			}
 			continue
@@ -114,7 +114,7 @@ func drive(t *testing.T, s core.Strategy, ds *task.Dataset, seed int64, steps in
 		if !ok {
 			continue
 		}
-		if err := AppendAssign(l, w, tid); err != nil {
+		if err := l.AppendAssign(w, tid); err != nil {
 			t.Fatal(err)
 		}
 		ans := ds.Tasks[tid].Truth
@@ -124,7 +124,7 @@ func drive(t *testing.T, s core.Strategy, ds *task.Dataset, seed int64, steps in
 		if err := s.SubmitAnswer(w, tid, ans); err != nil {
 			t.Fatal(err)
 		}
-		if err := AppendSubmit(l, w, tid, ans); err != nil {
+		if err := l.AppendSubmit(w, tid, ans); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -229,7 +229,9 @@ func TestReplayBadEvents(t *testing.T) {
 	}
 }
 
-func TestRecoverFile(t *testing.T) {
+// TestReplayFromLogFile rebuilds a strategy the way an offline tool does:
+// a strict read of a closed log, replayed through a fresh strategy.
+func TestReplayFromLogFile(t *testing.T) {
 	ds := task.ProductMatching()
 	path := filepath.Join(t.TempDir(), "events.jsonl")
 	l, _, err := Open(path)
@@ -241,19 +243,23 @@ func TestRecoverFile(t *testing.T) {
 	if !ok {
 		t.Fatal("no task")
 	}
-	_ = AppendAssign(l, "a", tid)
+	_ = l.AppendAssign("a", tid)
 	_ = orig.SubmitAnswer("a", tid, task.Yes)
-	_ = AppendSubmit(l, "a", tid, task.Yes)
+	_ = l.AppendSubmit("a", tid, task.Yes)
 	_ = l.Close()
 
+	events, err := ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	fresh, _ := baseline.NewRandomMV(ds, 3, nil, 7)
-	if err := RecoverFile(path, fresh); err != nil {
+	if err := Replay(events, fresh); err != nil {
 		t.Fatal(err)
 	}
 	if len(fresh.Job().Votes(tid)) != 1 {
 		t.Fatal("recovered state missing the vote")
 	}
-	if err := RecoverFile(filepath.Join(t.TempDir(), "none.jsonl"), fresh); err == nil {
+	if _, err := ReadFile(filepath.Join(t.TempDir(), "none.jsonl")); err == nil {
 		t.Fatal("missing file should error")
 	}
 }
@@ -278,14 +284,14 @@ func TestHealthyTracksStickyWriteError(t *testing.T) {
 	if err := l.Healthy(); err != nil {
 		t.Fatalf("fresh log should be healthy, got %v", err)
 	}
-	if err := AppendAssign(l, "w1", 1); err == nil {
+	if err := l.AppendAssign("w1", 1); err == nil {
 		t.Fatal("append through failing writer should error")
 	}
 	if err := l.Healthy(); err == nil {
 		t.Fatal("Healthy should report the failed append until one succeeds")
 	}
 	// Writer healed: the next successful append clears the sticky error.
-	if err := AppendAssign(l, "w1", 1); err != nil {
+	if err := l.AppendAssign("w1", 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Healthy(); err != nil {
