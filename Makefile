@@ -69,14 +69,16 @@ trace-smoke:
 	./scripts/trace_smoke.sh
 
 # Determinism contracts on their own: parallel precompute and the cached
-# scheme are bit-identical to the sequential paths, the golden adaptive and
-# baseline runs pin every decision on the benchmark's dataset shape, the
-# job bookkeeping, fast index, Greedy and qualification selection match
-# their reference implementations, and the /v1 API is byte-identical to
-# the legacy mount. (Also covered by `race`,
+# scheme are bit-identical to the sequential paths, the golden basis,
+# adaptive and baseline runs pin the offline phase and every decision on
+# the benchmark's dataset shape, the interned Jaccard and tf-idf kernels
+# match their map-based references and Cos(tf-idf) builds reproduce to the
+# bit, the job bookkeeping, fast index, Greedy and qualification selection
+# match their reference implementations, and the /v1 API is byte-identical
+# to the legacy mount. (Also covered by `race`,
 # but this target names the invariants and runs in seconds.)
 parity:
-	$(GO) test -run 'Parity|Golden|Deterministic|MatchesReference' ./internal/ppr ./internal/core ./internal/baseline ./internal/platform ./internal/assign ./internal/qualify
+	$(GO) test -run 'Parity|Golden|Deterministic|MatchesReference' ./internal/ppr ./internal/core ./internal/baseline ./internal/platform ./internal/assign ./internal/qualify ./internal/simgraph ./internal/textsim
 
 # The end-to-end benchmark is its own module (bench/go.mod), so the root
 # `go build ./...` and `go test ./...` never compile it; this builds it

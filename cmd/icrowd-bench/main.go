@@ -1,11 +1,11 @@
 // Command icrowd-bench measures the estimation/assignment hot path and
 // writes a machine-readable report, BENCH_hotpath.json by default. It runs
-// the same benchmark bodies as Benchmark{Precompute,ComputeScheme,
-// AssignThroughput} (internal/hotbench) via testing.Benchmark, then
-// records per-benchmark timings plus the headline figure: the speedup of
-// the 8-way parallel PPR precompute over the sequential baseline. The
-// parallel and sequential variants produce bit-identical bases, so the
-// speedup is free of accuracy trade-offs.
+// the same benchmark bodies as Benchmark{SimilarityGraph,Precompute,
+// ComputeScheme,AssignThroughput} (internal/hotbench) via
+// testing.Benchmark, then records per-benchmark timings plus the headline
+// figure: the speedup of the 8-way parallel PPR precompute over the
+// sequential baseline. The parallel and sequential variants produce
+// bit-identical bases, so the speedup is free of accuracy trade-offs.
 //
 // Usage:
 //
@@ -100,6 +100,7 @@ func main() {
 	}
 
 	pw := hotbench.ParallelWorkers
+	graph := run("BenchmarkSimilarityGraph", hotbench.SimilarityGraph())
 	seq := run("BenchmarkPrecompute/workers=1", hotbench.Precompute(1))
 	par := run(fmt.Sprintf("BenchmarkPrecompute/workers=%d", pw), hotbench.Precompute(pw))
 	delta := run("BenchmarkPrecomputeDelta", hotbench.PrecomputeDelta())
@@ -118,6 +119,7 @@ func main() {
 		GOMAXPROCS:      runtime.GOMAXPROCS(0),
 		ParallelWorkers: pw,
 		Benchmarks: []benchfmt.Record{
+			graph,
 			seq,
 			par,
 			delta,

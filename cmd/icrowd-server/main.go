@@ -39,7 +39,6 @@ import (
 	"icrowd/internal/experiments"
 	"icrowd/internal/obsv"
 	"icrowd/internal/platform"
-	"icrowd/internal/ppr"
 	"icrowd/internal/qualify"
 	"icrowd/internal/simgraph"
 	"icrowd/internal/store"
@@ -57,7 +56,6 @@ func main() {
 		threshold   = flag.Float64("threshold", 0.25, "similarity threshold")
 		logPath     = flag.String("log", "", "event-log file; replayed on startup for crash recovery (single-project mode)")
 		dataDir     = flag.String("data-dir", "", "multi-project data directory: each project's events live under <dir>/<id>/, every project found is resumed on startup (mutually exclusive with -log)")
-		basisPath   = flag.String("basis", "", "basis cache file: loaded if present, else computed and saved (skips the offline PPR phase on restart)")
 		lease       = flag.Duration("lease", 0, "assignment lease: reclaim tasks from workers silent this long (0 disables)")
 		fsync       = flag.String("fsync", "never", "event-log fsync policy: never, always, or an integer N (fsync every N appends)")
 		snapEvery   = flag.Int("snapshot-every", 0, "snapshot+compact the event log every N appends (0 disables; requires -log or -data-dir)")
@@ -96,34 +94,14 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	var basis *ppr.Basis
-	if *basisPath != "" {
-		if cached, err := ppr.LoadFile(*basisPath); err == nil {
-			if cached.N() == ds.Len() {
-				basis = cached
-				logger.Info("loaded basis cache", slog.String("path", *basisPath))
-			} else {
-				logger.Warn("basis cache does not match dataset; recomputing",
-					slog.Int("cache_tasks", cached.N()), slog.Int("dataset_tasks", ds.Len()))
-			}
-		}
-	}
-	if basis == nil {
-		bc := core.DefaultBasisConfig()
-		bc.Measure = simgraph.MeasureKind(*measure)
-		bc.Threshold = *threshold
-		bc.Seed = *seed
-		bc.Workers = *conc
-		basis, err = core.BuildBasis(ds, bc)
-		if err != nil {
-			fail(err)
-		}
-		if *basisPath != "" {
-			if err := basis.SaveFile(*basisPath); err != nil {
-				fail(err)
-			}
-			logger.Info("saved basis cache", slog.String("path", *basisPath))
-		}
+	bc := core.DefaultBasisConfig()
+	bc.Measure = simgraph.MeasureKind(*measure)
+	bc.Threshold = *threshold
+	bc.Seed = *seed
+	bc.Workers = *conc
+	basis, err := core.BuildBasis(ds, bc)
+	if err != nil {
+		fail(err)
 	}
 
 	// newStrategy builds a fresh strategy from the flags with the given
@@ -203,14 +181,6 @@ func main() {
 	}
 	srv := platform.NewServer(st, ds, srvOpts...)
 	srv.SetLogger(logger)
-	// Readiness: the offline PPR basis must cover the dataset the strategy
-	// is serving. A stale cache swap under a running process flips readyz.
-	srv.Health().AddCheck("basis", func() error {
-		if basis == nil || basis.N() != ds.Len() {
-			return fmt.Errorf("basis not loaded for %d tasks", ds.Len())
-		}
-		return nil
-	})
 	if *lease > 0 {
 		srv.SetLease(*lease)
 	}

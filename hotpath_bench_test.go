@@ -12,6 +12,13 @@ import (
 	"icrowd/internal/hotbench"
 )
 
+// BenchmarkSimilarityGraph measures the similarity-graph half of the
+// offline phase: every ItemCompare task pair scored by the interned
+// Jaccard kernel and thresholded into the CSR graph.
+func BenchmarkSimilarityGraph(b *testing.B) {
+	hotbench.SimilarityGraph()(b)
+}
+
 // BenchmarkPrecompute measures the offline PPR basis precomputation,
 // sequential vs the 8-way solver pool (the two produce bit-identical
 // bases; see ppr.TestPrecomputeParallelParity).

@@ -73,10 +73,11 @@ func NewJob(records []Record, cfg BlockingConfig) (*Job, error) {
 			return nil, fmt.Errorf("er: record %s has no tokens", r.ID)
 		}
 	}
+	sets := textsim.NewTokenSets(tokens)
 	var pairs []Pair
 	for i := range records {
 		for j := i + 1; j < len(records); j++ {
-			s := textsim.Jaccard(tokens[i], tokens[j])
+			s := sets.Jaccard(i, j)
 			if s >= cfg.MinSim {
 				pairs = append(pairs, Pair{I: i, J: j, Sim: s})
 			}

@@ -1,8 +1,8 @@
 // Package hotbench defines the shared benchmark bodies for the
 // estimation/assignment hot path. They are run two ways: as ordinary
 // `go test -bench` benchmarks (hotpath_bench_test.go at the repo root,
-// Benchmark{Precompute,ComputeScheme,AssignThroughput}) and via
-// testing.Benchmark by the icrowd-bench command, which writes the
+// Benchmark{SimilarityGraph,Precompute,ComputeScheme,AssignThroughput})
+// and via testing.Benchmark by the icrowd-bench command, which writes the
 // machine-readable BENCH_hotpath.json report. Keeping one copy of each
 // body guarantees the report measures exactly what the named benchmarks
 // measure.
@@ -30,8 +30,28 @@ const ParallelWorkers = 8
 // over (360 microtasks, Jaccard threshold 0.25).
 func Graph() (*task.Dataset, *simgraph.Graph, error) {
 	ds := task.GenerateItemCompare(1)
-	g, err := simgraph.Build(ds.Len(), simgraph.JaccardMetric(ds), 0.25, 0)
+	g, err := jaccardGraph(ds)
 	return ds, g, err
+}
+
+func jaccardGraph(ds *task.Dataset) (*simgraph.Graph, error) {
+	return simgraph.Build(ds.Len(), simgraph.JaccardMetric(ds), 0.25, 0)
+}
+
+// SimilarityGraph returns the BenchmarkSimilarityGraph body: the first
+// half of the offline phase, interning ItemCompare's tokens, scoring all
+// 64,620 task pairs with the Jaccard kernel and building the thresholded
+// CSR graph that Precompute then solves over.
+func SimilarityGraph() func(*testing.B) {
+	return func(b *testing.B) {
+		ds := task.GenerateItemCompare(1)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := jaccardGraph(ds); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // Precompute returns the BenchmarkPrecompute body: the full offline phase

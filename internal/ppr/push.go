@@ -70,22 +70,7 @@ func (s *Solver) Solve(seed int, o Options) (map[int]float64, Result, error) {
 	res := Result{Residual: restart}
 	for res.Iters < o.MaxIter && len(s.curIDs) > 0 {
 		res.Iters++
-		// Push pass: distribute every frontier node's mass to its CSR row,
-		// ascending i then ascending j — the exact accumulation order of the
-		// reference solver's sorted-map iteration.
-		s.nxtIDs = s.nxtIDs[:0]
-		for _, i := range s.curIDs {
-			x := s.cur[i]
-			s.cur[i] = 0
-			for k := s.csr.RowPtr[i]; k < s.csr.RowPtr[i+1]; k++ {
-				j := int(s.csr.Cols[k])
-				if !s.inNxt[j] {
-					s.inNxt[j] = true
-					s.nxtIDs = append(s.nxtIDs, j)
-				}
-				s.nxt[j] += c * s.csr.Norm[k] * x
-			}
-		}
+		s.push(c)
 		sort.Ints(s.nxtIDs)
 		// Absorb pass in ascending j: drop sub-DropTol entries (their
 		// residual mass is what Result.Residual accounts for on an
@@ -143,4 +128,33 @@ func (s *Solver) Solve(seed int, o Options) (map[int]float64, Result, error) {
 	}
 	s.estIDs = s.estIDs[:0]
 	return out, res, nil
+}
+
+// push is Solve's push pass: it distributes every frontier node's mass to
+// its CSR row, ascending i then ascending j — the exact accumulation order
+// of the reference solver's sorted-map iteration — and collects the
+// touched nodes, unsorted, in s.nxtIDs. Fields are read into locals once
+// and each row is taken as a pair of subslices, so the per-edge loop
+// re-reads no struct field (the append to nxtIDs would otherwise force
+// it to); slicing nxt to the marker's length lets the marker's bounds
+// check cover the write to nxt[j] as well.
+func (s *Solver) push(c float64) {
+	rowPtr, cols, norms := s.csr.RowPtr, s.csr.Cols, s.csr.Norm
+	cur, inNxt := s.cur, s.inNxt
+	nxt := s.nxt[:len(inNxt)]
+	nxtIDs := s.nxtIDs[:0]
+	for _, i := range s.curIDs {
+		x := cur[i]
+		cur[i] = 0
+		lo, hi := rowPtr[i], rowPtr[i+1]
+		rowCols, rowNorm := cols[lo:hi], norms[lo:hi]
+		for k, j := range rowCols {
+			if !inNxt[j] {
+				inNxt[j] = true
+				nxtIDs = append(nxtIDs, int(j))
+			}
+			nxt[j] += c * rowNorm[k] * x
+		}
+	}
+	s.nxtIDs = nxtIDs
 }

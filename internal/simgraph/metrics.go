@@ -24,21 +24,24 @@ const (
 // Measures lists the three textual measures of Appendix D.1 in paper order.
 var Measures = []MeasureKind{MeasureJaccard, MeasureTFIDF, MeasureTopic}
 
-// JaccardMetric scores tasks by Jaccard similarity over their token sets.
+// corpus returns the dataset's token lists, one per task.
+func corpus(ds *task.Dataset) [][]string {
+	docs := make([][]string, ds.Len())
+	for i, t := range ds.Tasks {
+		docs[i] = t.Tokens
+	}
+	return docs
+}
+
+// JaccardMetric scores tasks by Jaccard similarity over their token sets,
+// interned once for the whole dataset.
 func JaccardMetric(ds *task.Dataset) Metric {
-	return MetricFunc(func(i, j int) float64 {
-		return textsim.Jaccard(ds.Tasks[i].Tokens, ds.Tasks[j].Tokens)
-	})
+	return MetricFunc(textsim.NewTokenSets(corpus(ds)).Jaccard)
 }
 
 // TFIDFMetric scores tasks by cosine similarity of TF-IDF vectors.
 func TFIDFMetric(ds *task.Dataset) Metric {
-	corpus := make([][]string, ds.Len())
-	for i, t := range ds.Tasks {
-		corpus[i] = t.Tokens
-	}
-	m := textsim.NewTFIDF(corpus)
-	return MetricFunc(m.Similarity)
+	return MetricFunc(textsim.NewTFIDF(corpus(ds)).Similarity)
 }
 
 // TopicMetric scores tasks by cosine similarity of LDA topic distributions
@@ -51,11 +54,7 @@ func TopicMetric(ds *task.Dataset, topics int, seed int64) (Metric, error) {
 	if topics < 1 {
 		return nil, errors.New("simgraph: topic metric needs at least one topic")
 	}
-	corpus := make([][]string, ds.Len())
-	for i, t := range ds.Tasks {
-		corpus[i] = t.Tokens
-	}
-	model, err := lda.Train(corpus, lda.DefaultConfig(topics, seed))
+	model, err := lda.Train(corpus(ds), lda.DefaultConfig(topics, seed))
 	if err != nil {
 		return nil, err
 	}

@@ -310,3 +310,22 @@ func TestEuclideanMetricErrors(t *testing.T) {
 		t.Fatal("identical features should error (zero max distance)")
 	}
 }
+
+// TestTFIDFMetricDeterministic builds the Cos(tf-idf) metric twice over
+// ItemCompare: every pair must score the same to the last bit, or two
+// graphs (and bases) built from the same flags can differ.
+func TestTFIDFMetricDeterministic(t *testing.T) {
+	ds := task.GenerateItemCompare(1)
+	a, b := TFIDFMetric(ds), TFIDFMetric(ds)
+	differ := 0
+	for i := 0; i < ds.Len(); i++ {
+		for j := i + 1; j < ds.Len(); j++ {
+			if math.Float64bits(a.Sim(i, j)) != math.Float64bits(b.Sim(i, j)) {
+				differ++
+			}
+		}
+	}
+	if differ > 0 {
+		t.Fatalf("%d pair similarities differ between two constructions", differ)
+	}
+}

@@ -7,6 +7,7 @@ package textsim
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"unicode"
 )
@@ -44,31 +45,74 @@ func Tokenize(text string) []string {
 	return out
 }
 
-// Jaccard returns |A ∩ B| / |A ∪ B| over the two token multisets treated as
-// sets. Two empty sets have similarity 0.
-func Jaccard(a, b []string) float64 {
-	if len(a) == 0 && len(b) == 0 {
-		return 0
+// TokenSets is a corpus of token lists interned once into sorted,
+// deduplicated term-ID sets, so scoring a pair is a merge intersection
+// rather than two hash sets per pair.
+type TokenSets struct {
+	sets [][]int32
+}
+
+// NewTokenSets interns every document's tokens. Duplicate tokens within a
+// document count once (set semantics).
+func NewTokenSets(docs [][]string) *TokenSets {
+	sets, _ := intern(docs)
+	for i, ids := range sets {
+		sets[i] = slices.Compact(ids)
 	}
-	setA := make(map[string]bool, len(a))
-	for _, t := range a {
-		setA[t] = true
-	}
-	setB := make(map[string]bool, len(b))
-	for _, t := range b {
-		setB[t] = true
-	}
+	return &TokenSets{sets: sets}
+}
+
+// Jaccard returns |A ∩ B| / |A ∪ B| over the token sets of documents i and
+// j. Two empty sets have similarity 0.
+func (s *TokenSets) Jaccard(i, j int) float64 {
+	a, b := s.sets[i], s.sets[j]
 	inter := 0
-	for t := range setA {
-		if setB[t] {
+	for p, q := 0, 0; p < len(a) && q < len(b); {
+		switch {
+		case a[p] < b[q]:
+			p++
+		case a[p] > b[q]:
+			q++
+		default:
 			inter++
+			p++
+			q++
 		}
 	}
-	union := len(setA) + len(setB) - inter
+	union := len(a) + len(b) - inter
 	if union == 0 {
 		return 0
 	}
 	return float64(inter) / float64(union)
+}
+
+// intern numbers the corpus's distinct tokens in first-seen order and
+// returns each document's term IDs sorted ascending, duplicates kept,
+// together with the vocabulary size. All documents share one backing
+// array.
+func intern(docs [][]string) (ids [][]int32, vocab int) {
+	total := 0
+	for _, d := range docs {
+		total += len(d)
+	}
+	dict := make(map[string]int32)
+	flat := make([]int32, 0, total)
+	ids = make([][]int32, len(docs))
+	for i, d := range docs {
+		start := len(flat)
+		for _, t := range d {
+			id, ok := dict[t]
+			if !ok {
+				id = int32(len(dict))
+				dict[t] = id
+			}
+			flat = append(flat, id)
+		}
+		doc := flat[start:len(flat):len(flat)]
+		slices.Sort(doc)
+		ids[i] = doc
+	}
+	return ids, len(dict)
 }
 
 // EditDistance returns the Levenshtein distance between two strings
@@ -156,32 +200,6 @@ func EuclideanSimilarity(x, y []float64, maxDist float64) float64 {
 	return sim
 }
 
-// Cosine returns the cosine similarity of two sparse vectors keyed by term.
-// A zero vector has similarity 0 with everything.
-func Cosine(a, b map[string]float64) float64 {
-	if len(a) > len(b) {
-		a, b = b, a
-	}
-	var dot float64
-	for t, va := range a {
-		if vb, ok := b[t]; ok {
-			dot += va * vb
-		}
-	}
-	if dot == 0 {
-		return 0
-	}
-	return dot / (norm(a) * norm(b))
-}
-
-func norm(v map[string]float64) float64 {
-	var s float64
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // CosineDense returns the cosine similarity of two equal-length dense
 // vectors (used for LDA topic distributions); 0 for mismatched lengths or
 // zero vectors.
@@ -204,50 +222,77 @@ func CosineDense(a, b []float64) float64 {
 // TFIDF builds a TF-IDF vector per document from the given token lists.
 // TF is raw count; IDF is ln(N / df). Terms present in every document get
 // IDF 0 and therefore vanish — exactly the behaviour wanted for the shared
-// filler words in comparison microtasks ("which", "more", ...).
+// filler words in comparison microtasks ("which", "more", ...). Each vector
+// is stored as (term ID, weight) pairs in ascending term order with its
+// norm summed once in that order, so every similarity is reproducible to
+// the last bit.
 type TFIDF struct {
-	idf  map[string]float64
-	docs []map[string]float64
+	docs  [][]termWeight
+	norms []float64
+}
+
+type termWeight struct {
+	id int32
+	w  float64
 }
 
 // NewTFIDF computes the model over a corpus of tokenized documents.
 func NewTFIDF(corpus [][]string) *TFIDF {
-	df := map[string]int{}
-	for _, doc := range corpus {
-		seen := map[string]bool{}
-		for _, t := range doc {
-			if !seen[t] {
-				seen[t] = true
-				df[t]++
+	ids, vocab := intern(corpus)
+	df := make([]int, vocab)
+	for _, doc := range ids {
+		for k, id := range doc {
+			if k == 0 || doc[k-1] != id {
+				df[id]++
 			}
 		}
 	}
 	n := float64(len(corpus))
-	m := &TFIDF{idf: make(map[string]float64, len(df))}
-	for t, d := range df {
-		m.idf[t] = math.Log(n / float64(d))
+	idf := make([]float64, vocab)
+	for id, d := range df {
+		idf[id] = math.Log(n / float64(d))
 	}
-	m.docs = make([]map[string]float64, len(corpus))
-	for i, doc := range corpus {
-		v := map[string]float64{}
-		for _, t := range doc {
-			v[t] += m.idf[t]
-		}
-		for t, x := range v {
-			if x == 0 {
-				delete(v, t)
+	m := &TFIDF{docs: make([][]termWeight, len(corpus)), norms: make([]float64, len(corpus))}
+	for i, doc := range ids {
+		var v []termWeight
+		for k := 0; k < len(doc); {
+			id := doc[k]
+			var w float64
+			for ; k < len(doc) && doc[k] == id; k++ {
+				w += idf[id]
+			}
+			if w != 0 {
+				v = append(v, termWeight{id, w})
 			}
 		}
-		m.docs[i] = v
+		var ss float64
+		for _, tw := range v {
+			ss += tw.w * tw.w
+		}
+		m.docs[i], m.norms[i] = v, math.Sqrt(ss)
 	}
 	return m
 }
 
-// Vector returns the TF-IDF vector of corpus document i.
-func (m *TFIDF) Vector(i int) map[string]float64 { return m.docs[i] }
-
-// IDF returns the inverse document frequency of a term (0 if unseen).
-func (m *TFIDF) IDF(term string) float64 { return m.idf[term] }
-
 // Similarity returns the cosine TF-IDF similarity of corpus documents i, j.
-func (m *TFIDF) Similarity(i, j int) float64 { return Cosine(m.docs[i], m.docs[j]) }
+// A zero vector has similarity 0 with everything.
+func (m *TFIDF) Similarity(i, j int) float64 {
+	a, b := m.docs[i], m.docs[j]
+	var dot float64
+	for p, q := 0, 0; p < len(a) && q < len(b); {
+		switch {
+		case a[p].id < b[q].id:
+			p++
+		case a[p].id > b[q].id:
+			q++
+		default:
+			dot += a[p].w * b[q].w
+			p++
+			q++
+		}
+	}
+	if dot == 0 {
+		return 0
+	}
+	return dot / (m.norms[i] * m.norms[j])
+}
