@@ -41,12 +41,14 @@ race-hot:
 store-conformance:
 	$(GO) test -run 'TestConformance' -count=1 ./internal/store
 
-# Short native fuzzing of the store's byte parsers (the log reader and the
-# snapshot parser), 10s per target; the seed corpora under
-# internal/store/testdata/fuzz also replay on every plain `go test`.
+# Short native fuzzing of the byte parsers at the trust boundaries (the
+# store's log reader and snapshot parser, and the traceparent header every
+# router and shard request parses), 10s per target; the seed corpora under
+# each package's testdata/fuzz also replay on every plain `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTolerant$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obsv
 
 # End-to-end overload smoke: boot icrowd-server with admission control and
 # the per-worker limiter on, drive a short open-loop load pass, and fail
@@ -56,9 +58,10 @@ load-smoke:
 	./scripts/load_smoke.sh
 
 # End-to-end sharding smoke: three icrowd-server shards behind
-# icrowd-router — writes route by worker, reads merge, a killed shard
-# degrades to the typed shard_unavailable 503 and is re-admitted after a
-# restart from its own event log.
+# icrowd-router — projects created through the router land on their ring
+# owner only, a crowd runs through each, a killed shard takes only its own
+# projects down (typed shard_unavailable 503) and is re-admitted after a
+# restart from its own event logs.
 router-smoke:
 	./scripts/router_smoke.sh
 
@@ -74,9 +77,10 @@ trace-smoke:
 # the benchmark's dataset shape, the interned Jaccard and tf-idf kernels
 # match their map-based references and Cos(tf-idf) builds reproduce to the
 # bit, the job bookkeeping, fast index, Greedy and qualification selection
-# match their reference implementations, and the /v1 API is byte-identical
-# to the legacy mount. (Also covered by `race`,
-# but this target names the invariants and runs in seconds.)
+# match their reference implementations, and the single-project /v1 API is
+# byte-identical to the default project's /v1/projects/default mount. (Also
+# covered by `race`, but this target names the invariants and runs in
+# seconds.)
 parity:
 	$(GO) test -run 'Parity|Golden|Deterministic|MatchesReference' ./internal/ppr ./internal/core ./internal/baseline ./internal/platform ./internal/assign ./internal/qualify ./internal/simgraph ./internal/textsim
 

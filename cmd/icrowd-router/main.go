@@ -1,26 +1,31 @@
 // Command icrowd-router fronts a fleet of icrowd-server shards with a
-// consistent-hash ring keyed on worker ID. It speaks the same HTTP API as
-// a single server, so clients point at the router unchanged: writes
-// (/assign, /submit, /inactive) are proxied to the shard owning the
-// request's worker, reads (/status, /results, /v1/healthz, /v1/readyz,
-// /v1/metrics, /v1/projects) fan out and merge across every live shard.
+// consistent-hash ring keyed on project ID. It speaks the same HTTP API as
+// a single server, so clients point at the router unchanged: each project
+// lives on the one shard that owns it, and every request of the project —
+// /v1/{assign,submit,inactive,status,results} for the default project,
+// /v1/projects/{id}/… and GET/PUT /v1/projects/{id} for a named one — is
+// forwarded unchanged to that owner, which runs the project exactly as a
+// lone server would. GET /v1/projects lists each project from its owner;
+// /v1/healthz, /v1/readyz, /v1/metrics, /v1/trace/{traceid} and /v1/slo
+// roll up the whole fleet. The seed's unversioned paths are not served.
 //
-// Each shard keeps its own event log and crash-recovers independently; a
-// down shard takes only its key range out of service (clients get a typed
+// Each shard keeps its own event logs and crash-recovers independently; a
+// down shard takes only its projects out of service (clients get a typed
 // 503 shard_unavailable with Retry-After) and is re-admitted automatically
 // once its health probe answers again.
 //
 // Usage:
 //
-//	icrowd-server -addr :9001 -log shard0.log &
-//	icrowd-server -addr :9002 -log shard1.log &
-//	icrowd-server -addr :9003 -log shard2.log &
+//	icrowd-server -addr :9001 -data-dir shard0 &
+//	icrowd-server -addr :9002 -data-dir shard1 &
+//	icrowd-server -addr :9003 -data-dir shard2 &
 //	icrowd-router -addr :8080 \
 //	    -shards http://localhost:9001,http://localhost:9002,http://localhost:9003
 //
-//	curl 'http://localhost:8080/assign?workerId=alice'   # proxied to alice's shard
-//	curl http://localhost:8080/v1/status                 # merged across the fleet
-//	curl http://localhost:8080/v1/shards                 # fleet health as the router sees it
+//	curl -X PUT http://localhost:8080/v1/projects/pilot     # created on pilot's owner only
+//	curl 'http://localhost:8080/v1/projects/pilot/assign?workerId=alice'
+//	curl http://localhost:8080/v1/projects                  # every project, from its owner
+//	curl http://localhost:8080/v1/shards                    # fleet health as the router sees it
 package main
 
 import (

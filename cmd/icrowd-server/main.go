@@ -1,7 +1,8 @@
 // Command icrowd-server stands up the Appendix-A web server: the
 // ExternalQuestion endpoint AMT HITs would call for targeted task
-// assignment. It serves /assign, /submit, /status and /results over any
-// assignment strategy.
+// assignment. It serves /v1/assign, /v1/submit, /v1/inactive, /v1/status
+// and /v1/results over any assignment strategy (the seed's unversioned
+// spellings are gone and answer the typed 404).
 //
 // Usage:
 //
@@ -10,10 +11,10 @@
 // Then drive it with the platform client (see examples/platform) or plain
 // HTTP:
 //
-//	curl 'http://localhost:8080/assign?workerId=alice'
-//	curl -X POST http://localhost:8080/submit \
+//	curl 'http://localhost:8080/v1/assign?workerId=alice'
+//	curl -X POST http://localhost:8080/v1/submit \
 //	     -d '{"workerId":"alice","taskId":17,"answer":"YES"}'
-//	curl http://localhost:8080/status
+//	curl http://localhost:8080/v1/status
 //	curl http://localhost:8080/v1/healthz
 //	curl http://localhost:8080/v1/readyz
 package main

@@ -2,9 +2,7 @@ package benchfmt
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
-	"os"
 	"os/exec"
 	"runtime/debug"
 	"sort"
@@ -98,19 +96,6 @@ type SLOObjectiveSummary struct {
 	// ErrorBurnP50/Max summarize the sampled 5m error burn rates.
 	ErrorBurnP50 float64 `json:"error_burn_5m_p50"`
 	ErrorBurnMax float64 `json:"error_burn_5m_max"`
-}
-
-// ReadLoadFile loads a load report from path.
-func ReadLoadFile(path string) (*LoadReport, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep LoadReport
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		return nil, fmt.Errorf("benchfmt: parsing %s: %w", path, err)
-	}
-	return &rep, nil
 }
 
 // Marshal renders the report as indented JSON with a trailing newline.

@@ -100,13 +100,6 @@ func IsNoPending(err error) bool {
 	return errors.As(err, &ae) && ae.Code == CodeNoPending
 }
 
-// IsUnknownWorker reports whether err is the typed rejection of an
-// operation naming a worker the server has never seen.
-func IsUnknownWorker(err error) bool {
-	var ae *APIError
-	return errors.As(err, &ae) && ae.Code == CodeUnknownWorker
-}
-
 // IsOverloaded reports whether err is a shed from the admission layer
 // (queue full, or the deadline expired while queued). Overloaded requests
 // were never applied; retry after the server's Retry-After hint.

@@ -126,9 +126,7 @@ func (s *Server) sweepProject(ctx context.Context, p *project) []string {
 					return
 				}
 			}
-			p.strategyLock()
 			p.st.WorkerInactive(w)
-			p.strategyUnlock()
 		})
 		if logErr != nil {
 			s.obs.logFailures.Inc()

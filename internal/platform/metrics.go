@@ -58,7 +58,7 @@ func newServerMetrics(reg *obsv.Registry) *serverMetrics {
 	for _, ep := range endpointNames {
 		em := &endpointMetrics{
 			requests: reg.Counter("icrowd_http_requests_total",
-				"HTTP requests received, canonical and legacy mounts combined.", "endpoint", ep),
+				"HTTP requests received by endpoint, /v1 and project-scoped mounts combined.", "endpoint", ep),
 			latency: reg.Histogram("icrowd_http_request_seconds",
 				"HTTP request latency by endpoint.", nil, "endpoint", ep),
 		}
@@ -212,9 +212,9 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 // verbatim and coerced into the trace ID, and only a bare request mints a
 // fresh trace. The echoed X-Request-Id plus the span carried in the
 // request context stamp every log line handled under the request with the
-// same request_id (the trace ID). Both the /v1 and the legacy mount share
-// the wrapped handler, so the endpoint label aggregates the two spellings
-// and the response bytes stay identical across mounts.
+// same request_id (the trace ID). The /v1 and the project-scoped mounts
+// of an endpoint share its instruments, so the endpoint label aggregates
+// both.
 func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	em := s.obs.endpoints[name]
 	return func(w http.ResponseWriter, r *http.Request) {

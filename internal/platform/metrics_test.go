@@ -109,22 +109,10 @@ func TestMetricsEndpointAfterScript(t *testing.T) {
 	}
 }
 
-// TestMetricsAggregateLegacyAndV1 pins that the legacy alias and the /v1
-// mount share one wrapped handler: requests on either spelling land in the
-// same endpoint-labelled series.
-func TestMetricsAggregateLegacyAndV1(t *testing.T) {
-	srv, _, reg := newMetricsServer(t)
-	exchange(t, srv.URL, "GET", "/status", "")
-	exchange(t, srv.URL, "GET", "/v1/status", "")
-	c := reg.Counter("icrowd_http_requests_total", "", "endpoint", "status")
-	if c.Value() != 2 {
-		t.Fatalf("status requests = %d, want 2 (legacy + v1 combined)", c.Value())
-	}
-}
-
-// TestLegacyParityUnderMiddleware replays the byte-parity contract with the
-// observability middleware active on an isolated registry: wrapping must
-// not change a single response byte between the two mounts.
+// TestLegacyParityUnderMiddleware replays the byte-parity contract between
+// the single-project /v1 mount and the default project's scoped mount with
+// the observability middleware active on an isolated registry: wrapping
+// must not change a single response byte between the two mounts.
 func TestLegacyParityUnderMiddleware(t *testing.T) {
 	newSrv := func() *httptest.Server {
 		ds := task.ProductMatching()
@@ -138,7 +126,7 @@ func TestLegacyParityUnderMiddleware(t *testing.T) {
 		t.Cleanup(srv.Close)
 		return srv
 	}
-	legacy, v1 := newSrv(), newSrv()
+	v1, scoped := newSrv(), newSrv()
 	steps := []struct{ method, path, body string }{
 		{"GET", "/assign?workerId=w1", ""},
 		{"GET", "/assign?workerId=w1", ""}, // redelivery
@@ -148,11 +136,11 @@ func TestLegacyParityUnderMiddleware(t *testing.T) {
 		{"GET", "/assign", ""}, // 400
 	}
 	for i, st := range steps {
-		ls, lct, lb := exchange(t, legacy.URL, st.method, st.path, st.body)
 		vs, vct, vb := exchange(t, v1.URL, st.method, "/v1"+st.path, st.body)
-		if ls != vs || lct != vct || !bytes.Equal(lb, vb) {
-			t.Fatalf("step %d %s %s: legacy (%d %q %s) != v1 (%d %q %s)",
-				i, st.method, st.path, ls, lct, lb, vs, vct, vb)
+		ss, sct, sb := exchange(t, scoped.URL, st.method, "/v1/projects/default"+st.path, st.body)
+		if vs != ss || vct != sct || !bytes.Equal(vb, sb) {
+			t.Fatalf("step %d %s %s: v1 (%d %q %s) != scoped (%d %q %s)",
+				i, st.method, st.path, vs, vct, vb, ss, sct, sb)
 		}
 	}
 }

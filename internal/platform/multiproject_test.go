@@ -365,8 +365,8 @@ func TestProjectRoutesAndTypedErrors(t *testing.T) {
 }
 
 // TestProjectScopedDefaultParity pins the aliasing contract: the default
-// project answers byte-identically on the legacy route, the /v1 route, and
-// its project-scoped route.
+// project answers byte-identically on the /v1 route and its project-scoped
+// route.
 func TestProjectScopedDefaultParity(t *testing.T) {
 	ds := task.ProductMatching()
 	st, _ := baseline.NewRandomMV(ds, 3, nil, 11)
@@ -395,12 +395,10 @@ func TestProjectScopedDefaultParity(t *testing.T) {
 		return body
 	}
 	for _, ep := range []string{"status", "results"} {
-		legacy := get("/" + ep)
 		v1 := get("/v1/" + ep)
 		scoped := get("/v1/projects/" + store.DefaultProject + "/" + ep)
-		if string(legacy) != string(v1) || string(v1) != string(scoped) {
-			t.Fatalf("%s responses drift across mounts:\nlegacy %s\nv1     %s\nscoped %s",
-				ep, legacy, v1, scoped)
+		if string(v1) != string(scoped) {
+			t.Fatalf("%s responses drift across mounts:\nv1     %s\nscoped %s", ep, v1, scoped)
 		}
 	}
 }

@@ -11,12 +11,13 @@
 //
 // # API surface
 //
-// Every endpoint is mounted under the versioned prefix /v1 (the canonical
-// paths: /v1/assign, /v1/submit, /v1/inactive, /v1/status, /v1/results) and
-// under the legacy unversioned aliases the seed shipped with. Both
-// spellings are served by the same handlers and return byte-identical
-// payloads. Every error the server produces itself — including unknown
-// paths (404) and wrong methods (405) — is a typed JSON ErrorResponse.
+// Every endpoint is mounted under the versioned prefix /v1: /v1/assign,
+// /v1/submit, /v1/inactive, /v1/status and /v1/results serve the default
+// project, and /v1/projects/{id}/… serve each project by name (the default
+// project answers there byte-identically). The unversioned spellings the
+// seed shipped with are gone and get the typed 404. Every error the server
+// produces itself — including unknown paths (404) and wrong methods
+// (405) — is a typed JSON ErrorResponse.
 //
 // # Failure model
 //
@@ -48,8 +49,9 @@
 // sharded locking. Per-worker operations are still serialized through a
 // striped mutex so the idempotency bookkeeping (held/seen/accepted) stays
 // exact for concurrent retries of the same worker. Strategies without the
-// marker — the single-threaded baselines — keep the seed behaviour: every
-// strategy call is serialized behind one mutex.
+// marker — the single-threaded baselines — are wrapped once, when their
+// project is built, in an adapter that serializes every call behind one
+// mutex; the handlers call every strategy the same way.
 //
 // Attaching a durable log narrows the parallelism: each strategy mutation
 // and its log append are serialized as one unit so the log's event order
@@ -155,17 +157,17 @@ const workerStripes = 64
 
 // Server exposes one or more projects — each a core.Strategy with its own
 // durable backend, lease state and idempotency bookkeeping — over HTTP.
-// The default project answers the classic /v1/* (and legacy unversioned)
-// routes; named projects are served under /v1/projects/{id}/* (see
+// The default project answers the classic /v1/* routes; every project,
+// the default one included, is served under /v1/projects/{id}/* (see
 // project.go).
 //
 // Locking: per-worker request handling is serialized through the workers
-// stripe, keyed by (project, worker). Strategy calls are direct when a
-// project's strategy advertises ConcurrencySafe() == true, and serialized
-// behind the project's stMu otherwise. Each project's mu guards only its
-// own bookkeeping maps and is never held across a strategy call or a
-// backend append; the server's mu guards the shared clock and lease
-// configuration and never nests inside a project lock.
+// stripe, keyed by (project, worker). Strategy calls are direct; a strategy
+// that is not concurrency-safe carries its own mutex (lockedStrategy).
+// Each project's mu guards only its own bookkeeping maps and is never held
+// across a strategy call or a backend append; the server's mu guards the
+// shared clock and lease configuration and never nests inside a project
+// lock.
 type Server struct {
 	ds *task.Dataset
 
@@ -222,21 +224,18 @@ type Server struct {
 
 // project is one served project: a strategy plus everything the server
 // tracks around it. The default project and every named project are the
-// same type driven by the same handlers, which is what keeps the legacy
-// single-project routes byte-identical to the project-scoped ones.
+// same type driven by the same handlers, which is what keeps the
+// single-project /v1 routes byte-identical to the project-scoped ones.
 type project struct {
 	id string
+	// st is safe for concurrent use: newProject wraps a strategy without
+	// the ConcurrencySafe marker in a lockedStrategy.
 	st core.Strategy
-	// concSafe caches the strategy's ConcurrencySafe marker.
-	concSafe bool
 	// backend, when non-nil, is the project's durable event log. It is
 	// bound at construction (WithBackend, EnableProjects/CreateProject)
 	// and immutable afterwards — there is no live swap.
 	backend *store.Log
 
-	// stMu serializes strategy calls for strategies that are not
-	// concurrency-safe (the single-threaded baselines).
-	stMu sync.Mutex
 	// logMu serializes the (strategy mutation, backend append) pair
 	// whenever a backend is bound, so the event order always matches the
 	// order the mutations were applied — the invariant store.Replay needs
@@ -274,12 +273,6 @@ func WithBackend(b *store.Log) ServerOption {
 	return func(s *Server) { s.def.backend = b }
 }
 
-// WithAccounting enables HIT batching and payment tracking for the default
-// project at construction (equivalent to SetAccounting).
-func WithAccounting(a *Accounting) ServerOption {
-	return func(s *Server) { s.def.acct = a }
-}
-
 // StrategyFactory builds a fresh strategy instance for a named project.
 // It MUST be deterministic per project id — resume replays the project's
 // event log through a freshly built strategy, which only reconstructs the
@@ -288,7 +281,7 @@ type StrategyFactory func(projectID string) (core.Strategy, error)
 
 // NewServer wraps the strategy and its dataset as the default project.
 // Strategies implementing ConcurrencySafe() true are called concurrently;
-// everything else keeps the seed's fully-serialized behaviour.
+// everything else is serialized behind a per-project mutex.
 func NewServer(st core.Strategy, ds *task.Dataset, opts ...ServerOption) *Server {
 	s := &Server{
 		ds:     ds,
@@ -306,13 +299,15 @@ func NewServer(st core.Strategy, ds *task.Dataset, opts ...ServerOption) *Server
 	return s
 }
 
-// newProject builds the bookkeeping shell around a strategy.
+// newProject builds the bookkeeping shell around a strategy, wrapping it
+// in a lockedStrategy unless it advertises ConcurrencySafe() == true.
 func (s *Server) newProject(id string, st core.Strategy) *project {
-	cs, ok := st.(interface{ ConcurrencySafe() bool })
+	if cs, ok := st.(interface{ ConcurrencySafe() bool }); !ok || !cs.ConcurrencySafe() {
+		st = &lockedStrategy{st: st}
+	}
 	return &project{
 		id:       id,
 		st:       st,
-		concSafe: ok && cs.ConcurrencySafe(),
 		held:     map[string]heldTask{},
 		seen:     map[string]bool{},
 		accepted: map[string]map[int]string{},
@@ -388,20 +383,6 @@ func (s *Server) lockWorker(p *project, worker string) *sync.Mutex {
 	m := &s.workers[h.Sum32()%workerStripes]
 	m.Lock()
 	return m
-}
-
-// strategyLock serializes strategy calls for non-concurrency-safe
-// strategies (no-op for core.ICrowd, which locks internally).
-func (p *project) strategyLock() {
-	if !p.concSafe {
-		p.stMu.Lock()
-	}
-}
-
-func (p *project) strategyUnlock() {
-	if !p.concSafe {
-		p.stMu.Unlock()
-	}
 }
 
 // withLogOrder runs fn under the project's logMu when a backend is bound,
@@ -532,13 +513,10 @@ func (s *Server) SetAccounting(a *Accounting) {
 	s.def.mu.Unlock()
 }
 
-// Handler returns the HTTP routes: every endpoint under the canonical /v1
-// prefix plus the legacy unversioned alias, and a typed JSON 404 for
-// everything else. Each endpoint is wrapped once in the observability
-// middleware (metrics.go), shared by both mounts, so the legacy alias
-// stays byte-identical to /v1. The observability endpoints themselves
-// (/v1/metrics, /v1/trace, and /debug/pprof/ when enabled) exist only
-// under their canonical paths — they are new in v1 and get no alias.
+// Handler returns the HTTP routes — every endpoint under the /v1 prefix —
+// and a typed JSON 404 for everything else, the seed's unversioned paths
+// included. Each endpoint is wrapped in the observability middleware
+// (metrics.go).
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// The write endpoints mutate strategy state and funnel into its mutex
@@ -552,16 +530,12 @@ func (s *Server) Handler() http.Handler {
 		"status":   s.handleStatus,
 		"results":  s.handleResults,
 	} {
-		// Single-project mounts: /v1/<name> and the legacy unversioned
-		// alias both serve the default project through the same wrapped
-		// handler, so the alias stays byte-identical to /v1.
+		// Single-project mount: /v1/<name> serves the default project.
 		h := s.bindProject(s.def, ph)
 		if writeEndpoints[name] {
 			h = s.admitted(h)
 		}
-		wrapped := s.instrument(name, h)
-		mux.HandleFunc("/v1/"+name, wrapped)
-		mux.HandleFunc("/"+name, wrapped) // legacy unversioned alias
+		mux.HandleFunc("/v1/"+name, s.instrument(name, h))
 
 		// Project-scoped mount: the same handler resolved against the
 		// path's {project}, 404 (typed "project_not_found") when unknown.
@@ -664,9 +638,7 @@ func (s *Server) handleAssign(p *project, w http.ResponseWriter, r *http.Request
 	// from log latency.
 	ssp := s.tracer.Child(r.Context(), "strategy.assign")
 	p.withLogOrder(func() {
-		p.strategyLock()
 		if p.st.Done() {
-			p.strategyUnlock()
 			done = true
 			return
 		}
@@ -674,10 +646,8 @@ func (s *Server) handleAssign(p *project, w http.ResponseWriter, r *http.Request
 		tid, ok = p.st.RequestTask(worker)
 		if !ok {
 			done = p.st.Done()
-			p.strategyUnlock()
 			return
 		}
-		p.strategyUnlock()
 		if p.backend != nil {
 			lsp := s.tracer.Child(r.Context(), "log.append")
 			err := p.backend.AppendAssign(worker, tid)
@@ -685,9 +655,7 @@ func (s *Server) handleAssign(p *project, w http.ResponseWriter, r *http.Request
 			if err != nil {
 				// Roll the uncommitted assignment back so the strategy and
 				// the log stay consistent, then report lost durability.
-				p.strategyLock()
 				p.st.WorkerInactive(worker)
-				p.strategyUnlock()
 				logErr = err
 				return
 			}
@@ -777,9 +745,7 @@ func (s *Server) handleSubmit(p *project, w http.ResponseWriter, r *http.Request
 		// and recomputes the affected assignment scheme — the hottest
 		// sub-operation on the submit path, so it gets its own span.
 		rsp := s.tracer.Child(r.Context(), "scheme.recompute")
-		p.strategyLock()
 		err = p.st.SubmitAnswer(req.WorkerID, req.TaskID, ans)
-		p.strategyUnlock()
 		rsp.End()
 	})
 	if logErr != nil {
@@ -860,9 +826,7 @@ func (s *Server) handleInactive(p *project, w http.ResponseWriter, r *http.Reque
 				return
 			}
 		}
-		p.strategyLock()
 		p.st.WorkerInactive(worker)
-		p.strategyUnlock()
 	})
 	if logErr != nil {
 		s.obs.logFailures.Inc()
@@ -886,11 +850,9 @@ func (s *Server) handleStatus(p *project, w http.ResponseWriter, r *http.Request
 		s.writeError(r, w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "method not allowed")
 		return
 	}
-	p.strategyLock()
 	results := p.st.Results()
 	name := p.st.Name()
 	done := p.st.Done()
-	p.strategyUnlock()
 	completed := 0
 	for _, a := range results {
 		if a != task.None {
@@ -921,9 +883,7 @@ func (s *Server) handleResults(p *project, w http.ResponseWriter, r *http.Reques
 		s.writeError(r, w, http.StatusMethodNotAllowed, CodeMethodNotAllowed, "method not allowed")
 		return
 	}
-	p.strategyLock()
 	res := p.st.Results()
-	p.strategyUnlock()
 	out := ResultsResponse{Results: make(map[int]string, len(res))}
 	for t, a := range res {
 		out.Results[t] = a.String()
@@ -1024,4 +984,48 @@ func RunWorkers(ctx context.Context, baseURL string, ds *task.Dataset, pool []si
 		}
 	}
 	return nil
+}
+
+// lockedStrategy serializes every call into a strategy that is not
+// concurrency-safe (the single-threaded baselines), so the handlers call
+// every project's strategy the same way.
+type lockedStrategy struct {
+	mu sync.Mutex
+	st core.Strategy
+}
+
+func (l *lockedStrategy) Name() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.st.Name()
+}
+
+func (l *lockedStrategy) RequestTask(worker string) (int, bool) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.st.RequestTask(worker)
+}
+
+func (l *lockedStrategy) SubmitAnswer(worker string, taskID int, ans task.Answer) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.st.SubmitAnswer(worker, taskID, ans)
+}
+
+func (l *lockedStrategy) WorkerInactive(worker string) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.st.WorkerInactive(worker)
+}
+
+func (l *lockedStrategy) Done() bool {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.st.Done()
+}
+
+func (l *lockedStrategy) Results() map[int]task.Answer {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.st.Results()
 }

@@ -55,7 +55,7 @@ func TestAssignSubmitRoundTrip(t *testing.T) {
 
 func TestAssignValidation(t *testing.T) {
 	srv, _ := newTestServer(t)
-	resp, err := http.Get(srv.URL + "/assign")
+	resp, err := http.Get(srv.URL + "/v1/assign")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestAssignValidation(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("missing workerId: status %d", resp.StatusCode)
 	}
-	resp, err = http.Post(srv.URL+"/assign", "text/plain", nil)
+	resp, err = http.Post(srv.URL+"/v1/assign", "text/plain", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestAssignValidation(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	srv, _ := newTestServer(t)
 	post := func(body string) int {
-		resp, err := http.Post(srv.URL+"/submit", "application/json", strings.NewReader(body))
+		resp, err := http.Post(srv.URL+"/v1/submit", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatalf("no pending: %d", got)
 	}
 	// GET /submit not allowed.
-	resp, _ := http.Get(srv.URL + "/submit")
+	resp, _ := http.Get(srv.URL + "/v1/submit")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /submit: %d", resp.StatusCode)

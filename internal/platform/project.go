@@ -11,7 +11,7 @@ import (
 )
 
 // Multi-project serving. A server always hosts the default project (the
-// strategy passed to NewServer, answering /v1/* and the legacy aliases);
+// strategy passed to NewServer, answering /v1/* and /v1/projects/default/*);
 // EnableProjects adds named projects on top: each owns a fresh strategy
 // built by the StrategyFactory, its own backend inside a store.ProjectStore,
 // and its own lease/idempotency state, served under /v1/projects/{id}/*.
@@ -187,9 +187,7 @@ func (s *Server) handleProjectRoot(w http.ResponseWriter, r *http.Request) {
 
 // info snapshots the project's descriptor.
 func (p *project) info() ProjectInfo {
-	p.strategyLock()
 	name := p.st.Name()
-	p.strategyUnlock()
 	p.mu.Lock()
 	pending := len(p.held)
 	p.mu.Unlock()

@@ -51,7 +51,7 @@ func TestServerLogsAndRecovers(t *testing.T) {
 	if err != nil || !res.Assigned {
 		t.Fatalf("bob assign: %+v %v", res, err)
 	}
-	resp, err := http.Post(srv1.URL+"/inactive?workerId=bob", "", nil)
+	resp, err := http.Post(srv1.URL+"/v1/inactive?workerId=bob", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestInactiveEndpointValidation(t *testing.T) {
 	st, _ := baseline.NewRandomMV(ds, 3, nil, 1)
 	srv := httptest.NewServer(NewServer(st, ds).Handler())
 	defer srv.Close()
-	resp, _ := http.Get(srv.URL + "/inactive?workerId=x")
+	resp, _ := http.Get(srv.URL + "/v1/inactive?workerId=x")
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /inactive: %d", resp.StatusCode)
@@ -133,11 +133,11 @@ func TestInactiveEndpointValidation(t *testing.T) {
 	}
 
 	// Missing worker ID everywhere: 400 with a typed code, not a no-op.
-	if code, er := post(srv.URL+"/inactive", ""); code != http.StatusBadRequest || er.Code != CodeBadRequest {
+	if code, er := post(srv.URL+"/v1/inactive", ""); code != http.StatusBadRequest || er.Code != CodeBadRequest {
 		t.Fatalf("missing workerId: %d %+v", code, er)
 	}
 	// A worker the server has never seen: 400 unknown_worker.
-	if code, er := post(srv.URL+"/inactive?workerId=nobody", ""); code != http.StatusBadRequest || er.Code != CodeUnknownWorker {
+	if code, er := post(srv.URL+"/v1/inactive?workerId=nobody", ""); code != http.StatusBadRequest || er.Code != CodeUnknownWorker {
 		t.Fatalf("unknown worker: %d %+v", code, er)
 	}
 
@@ -146,18 +146,18 @@ func TestInactiveEndpointValidation(t *testing.T) {
 	if _, err := c.Assign(context.Background(), "x"); err != nil {
 		t.Fatal(err)
 	}
-	if code, er := post(srv.URL+"/inactive?workerId=x", ""); code != http.StatusNoContent {
+	if code, er := post(srv.URL+"/v1/inactive?workerId=x", ""); code != http.StatusNoContent {
 		t.Fatalf("query-param inactive: %d %+v", code, er)
 	}
 	// ...and JSON body.
 	if _, err := c.Assign(context.Background(), "y"); err != nil {
 		t.Fatal(err)
 	}
-	if code, er := post(srv.URL+"/inactive", `{"workerId":"y"}`); code != http.StatusNoContent {
+	if code, er := post(srv.URL+"/v1/inactive", `{"workerId":"y"}`); code != http.StatusNoContent {
 		t.Fatalf("json-body inactive: %d %+v", code, er)
 	}
 	// Malformed JSON body with no query param is a bad request.
-	if code, er := post(srv.URL+"/inactive", `{"workerId":`); code != http.StatusBadRequest || er.Code != CodeBadRequest {
+	if code, er := post(srv.URL+"/v1/inactive", `{"workerId":`); code != http.StatusBadRequest || er.Code != CodeBadRequest {
 		t.Fatalf("malformed body: %d %+v", code, er)
 	}
 }

@@ -43,10 +43,11 @@ func exchange(t *testing.T, base, method, path, body string) (int, string, []byt
 }
 
 // TestV1AndLegacyGoldenParity drives two identically-seeded servers through
-// the same request sequence — one via the legacy unversioned paths, one via
-// the canonical /v1 paths — and asserts every response is byte-identical.
-// This is the compatibility contract of the versioned API: /v1 is a mount
-// point, not a behaviour change.
+// the same request sequence — one via the single-project /v1 paths the
+// seed's clients use, one via the default project's scoped mount
+// /v1/projects/default — and asserts every response is byte-identical: the
+// single-project API is a mount of the default project, not a second
+// behaviour.
 func TestV1AndLegacyGoldenParity(t *testing.T) {
 	newSrv := func() *httptest.Server {
 		ds := task.ProductMatching()
@@ -58,7 +59,7 @@ func TestV1AndLegacyGoldenParity(t *testing.T) {
 		t.Cleanup(srv.Close)
 		return srv
 	}
-	legacy, v1 := newSrv(), newSrv()
+	v1, scoped := newSrv(), newSrv()
 
 	// {tid} is replaced with the task id captured from the first assign, so
 	// the script adapts to whatever the seeded strategy hands out.
@@ -89,73 +90,47 @@ func TestV1AndLegacyGoldenParity(t *testing.T) {
 			}
 			body = strings.ReplaceAll(body, "{tid}", strconv.Itoa(tid))
 		}
-		ls, lct, lb := exchange(t, legacy.URL, st.method, st.path, body)
 		vs, vct, vb := exchange(t, v1.URL, st.method, "/v1"+st.path, body)
-		if ls != vs {
-			t.Fatalf("step %d %s %s: status legacy %d != v1 %d", i, st.method, st.path, ls, vs)
+		ss, sct, sb := exchange(t, scoped.URL, st.method, "/v1/projects/default"+st.path, body)
+		if vs != ss {
+			t.Fatalf("step %d %s %s: status v1 %d != scoped %d", i, st.method, st.path, vs, ss)
 		}
-		if lct != vct {
-			t.Fatalf("step %d %s %s: content type %q != %q", i, st.method, st.path, lct, vct)
+		if vct != sct {
+			t.Fatalf("step %d %s %s: content type %q != %q", i, st.method, st.path, vct, sct)
 		}
-		if !bytes.Equal(lb, vb) {
-			t.Fatalf("step %d %s %s: payloads differ\nlegacy: %s\nv1:     %s", i, st.method, st.path, lb, vb)
+		if !bytes.Equal(vb, sb) {
+			t.Fatalf("step %d %s %s: payloads differ\nv1:     %s\nscoped: %s", i, st.method, st.path, vb, sb)
 		}
 		if tid < 0 && strings.HasPrefix(st.path, "/assign?") {
 			var ar AssignResponse
-			if err := json.Unmarshal(lb, &ar); err != nil || !ar.Assigned {
-				t.Fatalf("step %d: assign response %s (%v)", i, lb, err)
+			if err := json.Unmarshal(vb, &ar); err != nil || !ar.Assigned {
+				t.Fatalf("step %d: assign response %s (%v)", i, vb, err)
 			}
 			tid = ar.TaskID
 		}
 	}
 }
 
-// TestV1AndLegacySameServer checks both mounts of a single server hit the
-// same state: an assignment taken via the legacy path is redelivered via
-// /v1, and the submit is accepted on either spelling.
-func TestV1AndLegacySameServer(t *testing.T) {
-	ds := task.ProductMatching()
-	st, err := baseline.NewRandomMV(ds, 3, nil, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewServer(st, ds).Handler())
-	defer srv.Close()
-
-	s1, _, b1 := exchange(t, srv.URL, "GET", "/assign?workerId=w", "")
-	var a1 AssignResponse
-	if s1 != http.StatusOK || json.Unmarshal(b1, &a1) != nil || !a1.Assigned {
-		t.Fatalf("legacy assign: %d %s", s1, b1)
-	}
-	s2, _, b2 := exchange(t, srv.URL, "GET", "/v1/assign?workerId=w", "")
-	var a2 AssignResponse
-	if s2 != http.StatusOK || json.Unmarshal(b2, &a2) != nil {
-		t.Fatalf("v1 assign: %d %s", s2, b2)
-	}
-	if !a2.Redelivered || a2.TaskID != a1.TaskID {
-		t.Fatalf("v1 mount did not redeliver the legacy assignment: %+v vs %+v", a2, a1)
-	}
-	body := `{"workerId":"w","taskId":` + strconv.Itoa(a1.TaskID) + `,"answer":"NO"}`
-	if s, _, b := exchange(t, srv.URL, "POST", "/v1/submit", body); s != http.StatusOK {
-		t.Fatalf("v1 submit: %d %s", s, b)
-	}
-}
-
 // TestNotFoundTyped pins the typed JSON 404 for unknown paths on both the
-// root and the /v1 prefix.
+// root and the /v1 prefix, including the seed's unversioned endpoint paths,
+// which are no longer mounted.
 func TestNotFoundTyped(t *testing.T) {
 	srv, _ := newTestServer(t)
-	for _, path := range []string{"/", "/nope", "/v1/nope", "/v2/assign"} {
-		status, ct, body := exchange(t, srv.URL, "GET", path, "")
+	for _, req := range []struct{ method, path string }{
+		{"GET", "/"}, {"GET", "/nope"}, {"GET", "/v1/nope"}, {"GET", "/v2/assign"},
+		{"GET", "/assign?workerId=w"}, {"POST", "/submit"}, {"POST", "/inactive?workerId=w"},
+		{"GET", "/status"}, {"GET", "/results"},
+	} {
+		status, ct, body := exchange(t, srv.URL, req.method, req.path, "")
 		if status != http.StatusNotFound {
-			t.Fatalf("GET %s: status %d", path, status)
+			t.Fatalf("%s %s: status %d", req.method, req.path, status)
 		}
 		if ct != "application/json" {
-			t.Fatalf("GET %s: content type %q", path, ct)
+			t.Fatalf("%s %s: content type %q", req.method, req.path, ct)
 		}
 		var er ErrorResponse
 		if err := json.Unmarshal(body, &er); err != nil || er.Code != CodeNotFound {
-			t.Fatalf("GET %s: body %s (%v)", path, body, err)
+			t.Fatalf("%s %s: body %s (%v)", req.method, req.path, body, err)
 		}
 	}
 }

@@ -5,42 +5,49 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
 	"icrowd/internal/baseline"
+	"icrowd/internal/core"
 	"icrowd/internal/platform"
 	"icrowd/internal/store"
 	"icrowd/internal/task"
 )
 
-// shardProc is one icrowd-server shard the soak can kill and restart in
-// place: same address (its ring identity), same event-log path.
+// shardProc is one icrowd-server shard a test can kill and restart in
+// place: same address (its ring identity), same data directory.
 type shardProc struct {
-	idx     int
 	addr    string
 	url     string
-	logPath string
-	backend *store.Log
+	dataDir string
+	ds      *task.Dataset
+	factory platform.StrategyFactory
 	server  *platform.Server
 	http    *http.Server
 }
 
-// startShard opens (or reopens) the shard's event log, replays whatever
-// history it holds into a fresh same-seed strategy, restores lease and
-// idempotency state, and serves on addr ("" picks a free port).
-func startShard(t *testing.T, idx int, addr, logPath string) *shardProc {
+// startShard serves a shard the way `icrowd-server -data-dir` does: the
+// default project and every named project get a strategy from factory and
+// an event log under dataDir, and whatever history those logs hold is
+// replayed before the listener opens. addr "" picks a free port.
+func startShard(t *testing.T, addr, dataDir string, ds *task.Dataset, factory platform.StrategyFactory) *shardProc {
 	t.Helper()
-	b, info, err := store.Open(logPath)
+	ps, err := store.OpenProjects(dataDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ds := task.ProductMatching()
-	st, err := baseline.NewRandomMV(ds, 3, nil, int64(1000+idx))
+	b, info, err := ps.Project(store.DefaultProject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := factory(store.DefaultProject)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,6 +60,9 @@ func startShard(t *testing.T, idx int, addr, logPath string) *shardProc {
 	if len(info.Events) > 0 {
 		so.Restore(info.Events)
 	}
+	if _, err := so.EnableProjects(ps, factory); err != nil {
+		t.Fatal(err)
+	}
 	if addr == "" {
 		addr = "127.0.0.1:0"
 	}
@@ -63,33 +73,77 @@ func startShard(t *testing.T, idx int, addr, logPath string) *shardProc {
 	hs := &http.Server{Handler: so.Handler()}
 	go hs.Serve(ln) //nolint:errcheck // returns on Close
 	return &shardProc{
-		idx:     idx,
 		addr:    ln.Addr().String(),
 		url:     "http://" + ln.Addr().String(),
-		logPath: logPath,
-		backend: b,
+		dataDir: dataDir,
+		ds:      ds,
+		factory: factory,
 		server:  so,
 		http:    hs,
 	}
 }
 
+// restart serves the shard again at its address from its data directory.
+func (p *shardProc) restart(t *testing.T) *shardProc {
+	t.Helper()
+	return startShard(t, p.addr, p.dataDir, p.ds, p.factory)
+}
+
 // kill drops the shard at the transport level (connections refused) and
-// releases its log file so a restart can reopen it, simulating a crashed
+// releases its logs so a restart can reopen them, simulating a crashed
 // process whose durable state survives.
 func (p *shardProc) kill(t *testing.T) {
 	t.Helper()
 	if err := p.http.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.backend.Close(); err != nil {
+	if err := p.server.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// round performs one assign+submit cycle for worker through the router.
-// It reports whether the worker still has work, and records an acked
-// submit into acked.
-func round(ctx context.Context, c *platform.Client, worker string, acked map[[2]interface{}]bool) (more bool, err error) {
+// projectEvents reads every project's event log under the shard's data
+// directory, keyed by project ID.
+func (p *shardProc) projectEvents(t *testing.T) map[string][]store.Event {
+	t.Helper()
+	entries, err := os.ReadDir(p.dataDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]store.Event{}
+	for _, ent := range entries {
+		if !ent.IsDir() {
+			continue
+		}
+		events, err := store.ReadFile(filepath.Join(p.dataDir, ent.Name(), "events.log"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[ent.Name()] = events
+	}
+	return out
+}
+
+// startProductShard runs a RandomMV shard over the ProductMatching tasks,
+// each project seeded from its ID so a restart rebuilds the same strategy.
+func startProductShard(t *testing.T, dataDir string) *shardProc {
+	t.Helper()
+	ds := task.ProductMatching()
+	return startShard(t, "", dataDir, ds, func(id string) (core.Strategy, error) {
+		return baseline.NewRandomMV(ds, 3, nil, int64(hash64(id)&math.MaxInt64))
+	})
+}
+
+// submitKey names one acknowledged submit across the fleet.
+type submitKey struct {
+	project, worker string
+	task            int
+}
+
+// round performs one assign+submit cycle for worker in project through
+// the router. It reports whether the worker still has work, and records an
+// acked submit into acked.
+func round(ctx context.Context, c *platform.ProjectClient, worker string, acked map[submitKey]bool) (more bool, err error) {
 	res, err := c.Assign(ctx, worker)
 	if err != nil {
 		return true, err
@@ -100,15 +154,17 @@ func round(ctx context.Context, c *platform.Client, worker string, acked map[[2]
 	if err := c.Submit(ctx, worker, res.TaskID, task.Yes); err != nil {
 		return true, err
 	}
-	acked[[2]interface{}{worker, res.TaskID}] = true
+	acked[submitKey{c.ID(), worker, res.TaskID}] = true
 	return true, nil
 }
 
-// TestChaosKillShard is the fleet-level soak: three real shards behind the
-// router, one killed mid-load. Survivors must keep serving their key
-// ranges, the dead range must fail only with the typed shard_unavailable
-// error, readiness must flip 503 and back, and the restarted shard must
-// resume from its event log — no lost or duplicated submits anywhere.
+// TestChaosKillShard is the fleet-level soak: named projects spread over
+// three real shards behind the router, one shard killed mid-load. The
+// survivors' projects must keep serving, the victim's projects must fail
+// only with the typed shard_unavailable error, readiness must flip 503 and
+// back, and the restarted shard must resume each of its projects from its
+// event log — each project's events in its owner's log only, and no lost
+// or duplicated submits anywhere.
 func TestChaosKillShard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos soak skipped with -short")
@@ -116,7 +172,7 @@ func TestChaosKillShard(t *testing.T) {
 	dir := t.TempDir()
 	shards := make([]*shardProc, 3)
 	for i := range shards {
-		shards[i] = startShard(t, i, "", filepath.Join(dir, fmt.Sprintf("shard%d.events.log", i)))
+		shards[i] = startProductShard(t, filepath.Join(dir, fmt.Sprintf("shard%d", i)))
 	}
 	urls := make([]string, len(shards))
 	for i, p := range shards {
@@ -133,59 +189,66 @@ func TestChaosKillShard(t *testing.T) {
 
 	client := &platform.Client{BaseURL: front.URL} // no retries: every error surfaces
 	ctx := context.Background()
-	workers := keys(48)
-	// Partition the crowd by ring owner so the soak can reason about who
-	// the kill strands.
-	byShard := map[string][]string{}
-	for _, w := range workers {
-		byShard[rt.ring.Get(w)] = append(byShard[rt.ring.Get(w)], w)
-	}
+	// Two projects per shard, created through the router on their owners.
+	byShard := map[string][]*platform.ProjectClient{}
+	var projects []*platform.ProjectClient
 	for _, u := range urls {
-		// Majority vote needs 3 distinct voters per task, so a shard's job
-		// can only finish if at least 3 workers hash to it.
-		if len(byShard[u]) < 3 {
-			t.Fatalf("only %d workers hash to %s; grow the crowd", len(byShard[u]), u)
+		owned := ownedBy(rt, projectIDs(200), u)
+		if len(owned) < 2 {
+			t.Fatalf("only %d of 200 projects hash to %s", len(owned), u)
+		}
+		for _, id := range owned[:2] {
+			pc := client.Project(id)
+			if created, err := pc.Create(ctx); err != nil || !created {
+				t.Fatalf("create %s: created=%v err=%v", id, created, err)
+			}
+			byShard[u] = append(byShard[u], pc)
+			projects = append(projects, pc)
 		}
 	}
-	victim := shards[1]
-	if len(byShard[victim.url]) == 0 {
-		t.Fatalf("no workers hash to the victim shard; distribution: %v", byShard)
-	}
-	acked := map[[2]interface{}]bool{}
+	workers := keys(8)
+	acked := map[submitKey]bool{}
 
-	// Phase A: everyone makes progress while the fleet is whole (two
-	// rounds each keeps every shard's job unfinished for the later phases).
-	for _, w := range workers {
-		for r := 0; r < 2; r++ {
-			if _, err := round(ctx, client, w, acked); err != nil {
-				t.Fatalf("phase A: worker %s: %v", w, err)
+	// Phase A: everyone makes progress in every project while the fleet is
+	// whole (two rounds each keeps every job unfinished for later phases).
+	for _, pc := range projects {
+		for _, w := range workers {
+			for r := 0; r < 2; r++ {
+				if _, err := round(ctx, pc, w, acked); err != nil {
+					t.Fatalf("phase A: project %s worker %s: %v", pc.ID(), w, err)
+				}
 			}
 		}
 	}
 
-	// Snapshot the victim's externally visible state before the kill; the
-	// restart must reproduce it from the log alone.
-	preStatus := directStatus(t, victim.url)
-	preSeq := directLastSeq(t, victim.url)
-	if preSeq == 0 {
-		t.Fatal("victim logged no events in phase A")
+	// Snapshot the victim's projects before the kill; the restart must
+	// reproduce them from the logs alone.
+	victim := shards[1]
+	preStatus := map[string]platform.StatusResponse{}
+	preSeq := map[string]int64{}
+	for _, pc := range byShard[victim.url] {
+		preStatus[pc.ID()] = directStatus(t, victim.url, pc.ID())
+		preSeq[pc.ID()] = directLastSeq(t, victim.url, pc.ID())
+		if preSeq[pc.ID()] == 0 {
+			t.Fatalf("victim logged no events for %s in phase A", pc.ID())
+		}
 	}
 
 	// Phase B: kill the victim mid-load.
 	victim.kill(t)
 	unavailable := 0
-	for _, w := range byShard[victim.url] {
-		for r := 0; r < 2; r++ {
-			_, err := round(ctx, client, w, acked)
+	for _, pc := range byShard[victim.url] {
+		for _, w := range workers {
+			_, err := round(ctx, pc, w, acked)
 			if err == nil {
-				t.Fatalf("phase B: worker %s succeeded against a dead shard", w)
+				t.Fatalf("phase B: project %s served from a dead shard", pc.ID())
 			}
 			var ae *platform.APIError
 			if !errors.As(err, &ae) {
-				t.Fatalf("phase B: worker %s got untyped error: %v", w, err)
+				t.Fatalf("phase B: project %s got untyped error: %v", pc.ID(), err)
 			}
 			if !platform.IsShardUnavailable(err) {
-				t.Fatalf("phase B: worker %s got code %q, want shard_unavailable", w, ae.Code)
+				t.Fatalf("phase B: project %s got code %q, want shard_unavailable", pc.ID(), ae.Code)
 			}
 			if ae.RetryAfter < time.Second {
 				t.Fatalf("phase B: Retry-After hint %v, want >= 1s", ae.RetryAfter)
@@ -193,15 +256,17 @@ func TestChaosKillShard(t *testing.T) {
 			unavailable++
 		}
 	}
-	// Survivors keep serving their ranges through the same router.
-	for _, p := range []*shardProc{shards[0], shards[2]} {
-		for _, w := range byShard[p.url] {
-			if _, err := round(ctx, client, w, acked); err != nil {
-				t.Fatalf("phase B: survivor worker %s: %v", w, err)
+	// The survivors' projects keep serving through the same router.
+	for _, u := range []string{urls[0], urls[2]} {
+		for _, pc := range byShard[u] {
+			for _, w := range workers {
+				if _, err := round(ctx, pc, w, acked); err != nil {
+					t.Fatalf("phase B: survivor project %s worker %s: %v", pc.ID(), w, err)
+				}
 			}
 		}
 	}
-	// The fleet reports itself unready while a key range is dark.
+	// The fleet reports itself unready while some projects are dark.
 	if status, _ := get(t, front.URL+"/v1/readyz"); status != http.StatusServiceUnavailable {
 		t.Fatalf("readyz with dead shard: HTTP %d, want 503", status)
 	}
@@ -211,8 +276,8 @@ func TestChaosKillShard(t *testing.T) {
 		t.Fatalf("healthz with dead shard: HTTP %d %s, want 200 degraded", status, body)
 	}
 
-	// Phase C: restart the victim at the same address from the same log.
-	shards[1] = startShard(t, 1, victim.addr, victim.logPath)
+	// Phase C: restart the victim at the same address from the same logs.
+	shards[1] = victim.restart(t)
 	deadline := time.Now().Add(5 * time.Second)
 	for !rt.tracker.Up(victim.url) {
 		if time.Now().After(deadline) {
@@ -223,34 +288,33 @@ func TestChaosKillShard(t *testing.T) {
 	if status, _ := get(t, front.URL+"/v1/readyz"); status != http.StatusOK {
 		t.Fatalf("readyz after re-admit: HTTP %d, want 200", status)
 	}
-	// Resume, not reset: the replayed shard serves its pre-kill state.
-	postStatus := directStatus(t, victim.url)
-	if postStatus.Completed != preStatus.Completed || postStatus.Pending != preStatus.Pending {
-		t.Fatalf("restart lost state: pre %+v post %+v", preStatus, postStatus)
-	}
-	if postSeq := directLastSeq(t, victim.url); postSeq != preSeq {
-		t.Fatalf("restart lost log events: lastSeq pre %d post %d", preSeq, postSeq)
-	}
-
-	// Drive the whole crowd to completion through the router.
-	for _, w := range workers {
-		for r := 0; r < 40; r++ {
-			more, err := round(ctx, client, w, acked)
-			if err != nil {
-				t.Fatalf("phase C: worker %s: %v", w, err)
-			}
-			if !more {
-				break
-			}
+	// Resume, not reset: each replayed project serves its pre-kill state.
+	for id, pre := range preStatus {
+		post := directStatus(t, victim.url, id)
+		if post.Completed != pre.Completed || post.Pending != pre.Pending {
+			t.Fatalf("restart lost %s state: pre %+v post %+v", id, pre, post)
+		}
+		if seq := directLastSeq(t, victim.url, id); seq != preSeq[id] {
+			t.Fatalf("restart lost %s log events: lastSeq pre %d post %d", id, preSeq[id], seq)
 		}
 	}
-	var st platform.StatusResponse
-	status, body = get(t, front.URL+"/v1/status")
-	if status != http.StatusOK || json.Unmarshal(body, &st) != nil {
-		t.Fatalf("status: HTTP %d %s", status, body)
-	}
-	if !st.Done || st.Completed != task.ProductMatching().Len() {
-		t.Fatalf("fleet did not finish the job: %+v", st)
+
+	// Drive every project to completion through the router.
+	for _, pc := range projects {
+		for more := true; more; {
+			more = false
+			for _, w := range workers {
+				got, err := round(ctx, pc, w, acked)
+				if err != nil {
+					t.Fatalf("phase C: project %s worker %s: %v", pc.ID(), w, err)
+				}
+				more = more || got
+			}
+		}
+		st, err := pc.Status(ctx)
+		if err != nil || !st.Done || st.Completed != task.ProductMatching().Len() {
+			t.Fatalf("project %s did not finish: %+v (%v)", pc.ID(), st, err)
+		}
 	}
 
 	// Tear down and audit the logs.
@@ -259,25 +323,19 @@ func TestChaosKillShard(t *testing.T) {
 	for _, p := range shards {
 		p.kill(t)
 	}
-	type wt struct {
-		worker string
-		task   int
-	}
-	submits := map[wt]int{}
+	submits := map[submitKey]int{}
 	for i, p := range shards {
-		events, err := store.ReadFile(p.logPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, ev := range events {
-			// Ownership: a shard's log only ever holds its own workers'
-			// events — the router never mis-routes, and a worker's history
-			// never splits across logs.
-			if owner := rt.ring.Get(ev.Worker); owner != urls[i] {
-				t.Fatalf("shard %d logged event for worker %s owned by %s", i, ev.Worker, owner)
+		for id, events := range p.projectEvents(t) {
+			// Ownership: a project's events live only in its owner's logs
+			// — the router never mis-routes, and a project's history never
+			// splits across shards.
+			if owner := rt.ring.Get(id); len(events) > 0 && owner != urls[i] {
+				t.Fatalf("shard %d logged %d events for project %s owned by %s", i, len(events), id, owner)
 			}
-			if ev.Kind == store.EventSubmit {
-				submits[wt{ev.Worker, ev.Task}]++
+			for _, ev := range events {
+				if ev.Kind == store.EventSubmit {
+					submits[submitKey{id, ev.Worker, ev.Task}]++
+				}
 			}
 		}
 	}
@@ -285,13 +343,13 @@ func TestChaosKillShard(t *testing.T) {
 	// and the resubmits it caused.
 	for k, n := range submits {
 		if n > 1 {
-			t.Fatalf("submit (%s, %d) logged %d times", k.worker, k.task, n)
+			t.Fatalf("submit %+v logged %d times", k, n)
 		}
 	}
-	// No lost submits: everything a client saw acked is durable in some log.
+	// No lost submits: everything a client saw acked is durable.
 	for k := range acked {
-		if submits[wt{k[0].(string), k[1].(int)}] == 0 {
-			t.Fatalf("acked submit (%v, %v) missing from every shard log", k[0], k[1])
+		if submits[k] == 0 {
+			t.Fatalf("acked submit %+v missing from every shard log", k)
 		}
 	}
 	if unavailable == 0 {
@@ -301,10 +359,11 @@ func TestChaosKillShard(t *testing.T) {
 		len(acked), len(submits), unavailable)
 }
 
-// directStatus reads one shard's /v1/status bypassing the router.
-func directStatus(t *testing.T, url string) platform.StatusResponse {
+// directStatus reads one project's status from a shard, bypassing the
+// router.
+func directStatus(t *testing.T, url, project string) platform.StatusResponse {
 	t.Helper()
-	status, body := get(t, url+"/v1/status")
+	status, body := get(t, url+"/v1/projects/"+project+"/status")
 	if status != http.StatusOK {
 		t.Fatalf("direct status: HTTP %d", status)
 	}
@@ -315,23 +374,17 @@ func directStatus(t *testing.T, url string) platform.StatusResponse {
 	return st
 }
 
-// directLastSeq reads one shard's default-project LastSeq bypassing the
+// directLastSeq reads one project's LastSeq from a shard, bypassing the
 // router.
-func directLastSeq(t *testing.T, url string) int64 {
+func directLastSeq(t *testing.T, url, project string) int64 {
 	t.Helper()
-	status, body := get(t, url+"/v1/projects")
+	status, body := get(t, url+"/v1/projects/"+project)
 	if status != http.StatusOK {
-		t.Fatalf("direct projects: HTTP %d", status)
+		t.Fatalf("direct describe %s: HTTP %d", project, status)
 	}
-	var list platform.ProjectListResponse
-	if err := json.Unmarshal(body, &list); err != nil {
+	var info platform.ProjectInfo
+	if err := json.Unmarshal(body, &info); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range list.Projects {
-		if p.ID == "default" {
-			return p.LastSeq
-		}
-	}
-	t.Fatal("default project missing from direct listing")
-	return 0
+	return info.LastSeq
 }

@@ -16,9 +16,9 @@ import (
 // and actively, from a background probe loop that GETs each shard's
 // /v1/healthz. The probe loop is also the only path back UP: once a
 // restarted shard answers its health check again the router re-admits it
-// and its key range resumes serving. Down shards stay in the ring — their
-// range answers shard_unavailable rather than remapping onto survivors,
-// which would split each worker's history across two event logs.
+// and its projects resume serving. Down shards stay in the ring — their
+// projects answer shard_unavailable rather than remapping onto survivors,
+// which would split each project's history across two event logs.
 
 // ShardState is one shard's health as reported by /v1/shards.
 type ShardState struct {
@@ -134,34 +134,6 @@ func (t *Tracker) ProbeAll(ctx context.Context) {
 		}(shard)
 	}
 	wg.Wait()
-}
-
-// Start runs ProbeAll every interval until the returned stop function is
-// called. The first probe fires after one interval — construction already
-// assumed everything up, and the passive path covers the gap.
-func (t *Tracker) Start(interval time.Duration) (stop func()) {
-	if interval <= 0 {
-		interval = 2 * time.Second
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		tick := time.NewTicker(interval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-tick.C:
-				t.ProbeAll(ctx)
-			}
-		}
-	}()
-	return func() {
-		cancel()
-		<-done
-	}
 }
 
 // Snapshot returns every shard's state, sorted by URL.

@@ -1,20 +1,21 @@
-// Package shard implements the horizontal sharding layer that lifts the
-// platform past the single-node ceiling: a consistent-hash ring keyed on
-// worker ID, a health tracker that detects down shards and re-admits them
-// after restart, and an HTTP router that fronts N independent
-// icrowd-server instances — proxying the write path (/assign, /submit,
-// /inactive) to the owning shard and fanning the read path out across all
-// of them (status/results merge, healthz/readyz rollup, Prometheus
-// aggregation).
+// Package shard implements the horizontal sharding layer: a
+// consistent-hash ring keyed on project ID, a health tracker that detects
+// down shards and re-admits them after restart, and an HTTP router that
+// fronts N independent icrowd-server instances — forwarding every request
+// of a project to the one shard that owns it, and rolling the fleet-wide
+// views (project list, healthz/readyz, Prometheus metrics, traces, SLO
+// burn rates) up across all of them.
 //
-// The partitioning unit is the worker: every request a worker issues lands
-// on the same shard, so that shard's lease, idempotency and event-log
-// machinery see the worker's full history and the existing crash-recovery
-// guarantees hold per shard with no cross-shard coordination. A down shard
-// takes only its own key range out of service — the router answers for it
-// with a typed 503 shard_unavailable and Retry-After while the survivors
-// keep serving theirs — and a restarted shard replays its own event log
-// and rejoins the ring with its state intact.
+// The partitioning unit is the project: each project lives on exactly one
+// shard, which runs the paper's algorithm over it unmodified — every
+// microtask gets its k answers, and its consensus and accuracy estimates
+// see all of them — while the shard's lease, idempotency and event-log
+// machinery give the single-server crash-recovery guarantees with no
+// cross-shard coordination. A down shard takes only its own projects out
+// of service — the router answers for them with a typed 503
+// shard_unavailable and Retry-After while the survivors keep serving
+// theirs — and a restarted shard replays its own event logs and rejoins
+// the ring with its state intact.
 package shard
 
 import (
@@ -128,7 +129,7 @@ func (r *Ring) Len() int {
 
 // hash64 is the ring's hash: FNV-1a (stdlib-only, stable across processes
 // and restarts — the mapping must not depend on process state, or a
-// restarted router would re-partition every worker) pushed through a
+// restarted router would re-partition every project) pushed through a
 // splitmix64 finalizer. Raw FNV-1a of near-identical strings ("s#0",
 // "s#1", …) clusters on the ring badly enough that one of eight shards
 // can own >2x its fair share; the avalanche step spreads the points.

@@ -16,29 +16,30 @@ import (
 
 	"icrowd/internal/obsv"
 	"icrowd/internal/platform"
+	"icrowd/internal/store"
 )
 
 // Router is the HTTP front for a fleet of icrowd-server shards. It speaks
 // the same API as a single server, so clients (and the load harness) point
 // at the router unchanged:
 //
-//   - Writes (/assign, /submit, /inactive) are proxied verbatim to the
-//     shard owning the request's worker ID on the consistent-hash ring.
-//     The owning shard's lease, idempotency and event-log machinery apply
-//     exactly as on a single server, because it sees the worker's whole
-//     history.
-//   - Reads fan out: /status and /results merge every live shard's answer
-//     (per-task majority vote), /v1/healthz and /v1/readyz roll up shard
-//     probes, /v1/metrics serves the union of every shard's Prometheus
-//     exposition with a shard label injected.
-//   - /v1/projects is merged across shards; PUT /v1/projects/{id}
-//     broadcasts so the project exists on every shard before any worker
-//     routes to it.
+//   - Every project request is forwarded unchanged to the shard owning the
+//     project ID on the consistent-hash ring: /v1/{assign,submit,inactive,
+//     status,results} to the owner of the default project,
+//     /v1/projects/{id}/… and /v1/projects/{id} (GET and PUT) to the owner
+//     of {id}. The owner runs the project exactly as a single server would,
+//     so each microtask gets its k answers and every answer reaches the
+//     project's one consensus and estimator.
+//   - GET /v1/projects lists every live shard's projects, each entry taken
+//     from its owner only.
+//   - /v1/healthz and /v1/readyz roll up shard probes, /v1/metrics serves
+//     the union of every shard's Prometheus exposition with a shard label
+//     injected, and /v1/trace/{traceid} and /v1/slo merge across the fleet.
 //
-// A dead shard takes only its key range out: requests routed to it get a
+// A dead shard takes only its projects out: requests routed to it get a
 // typed 503 shard_unavailable with a Retry-After hint, survivors keep
 // serving theirs, and the health probe re-admits the shard once it answers
-// /v1/healthz again (after replaying its own event log).
+// /v1/healthz again (after replaying its own event logs).
 
 // Config configures a Router.
 type Config struct {
@@ -184,9 +185,6 @@ func (rt *Router) Start() (stop func()) {
 	}
 }
 
-// Shards returns the fleet's current health states.
-func (rt *Router) Shards() []ShardState { return rt.tracker.Snapshot() }
-
 // syncGauges mirrors the tracker's state into the up-gauges.
 func (rt *Router) syncGauges() {
 	for _, st := range rt.tracker.Snapshot() {
@@ -215,26 +213,13 @@ func (rt *Router) markDown(shard string, err error) {
 // existing clients work unchanged against the router.
 func (rt *Router) routes() *http.ServeMux {
 	mux := http.NewServeMux()
-	type ep struct {
-		name    string
-		method  string
-		handler http.HandlerFunc
-	}
-	eps := []ep{
-		{"assign", http.MethodGet, rt.writeHandler(workerFromQuery)},
-		{"submit", http.MethodPost, rt.writeHandler(workerFromSubmitBody)},
-		{"inactive", http.MethodPost, rt.writeHandler(workerFromQueryOrBody)},
-		{"status", http.MethodGet, rt.handleStatus},
-		{"results", http.MethodGet, rt.handleResults},
-	}
-	for _, e := range eps {
-		h := requireMethod(e.method, rt.instrument(e.name, e.handler))
-		mux.HandleFunc("/v1/"+e.name, h)
-		mux.HandleFunc("/"+e.name, h) // legacy unversioned alias
-		mux.HandleFunc("/v1/projects/{project}/"+e.name, h)
+	for _, name := range []string{"assign", "submit", "inactive", "status", "results"} {
+		h := rt.instrument(name, rt.ownerProxy)
+		mux.HandleFunc("/v1/"+name, h)
+		mux.HandleFunc("/v1/projects/{project}/"+name, h)
 	}
 	mux.HandleFunc("/v1/projects", requireMethod(http.MethodGet, rt.handleProjectList))
-	mux.HandleFunc("/v1/projects/{project}", rt.handleProjectRoot)
+	mux.HandleFunc("/v1/projects/{project}", rt.instrument("projects", rt.ownerProxy))
 	mux.HandleFunc("/v1/trace", requireMethod(http.MethodGet, rt.handleTrace))
 	mux.HandleFunc("/v1/trace/{traceid}", requireMethod(http.MethodGet, rt.handleTraceByID))
 	mux.HandleFunc("/v1/slo", requireMethod(http.MethodGet, rt.handleSLO))
@@ -275,63 +260,30 @@ func requireMethod(method string, h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// ---- write path: route by worker, proxy to the owning shard ----
+// ---- project path: forward to the project's owner ----
 
-// workerExtractor pulls the worker ID out of a write request (body already
-// read so it can be both inspected and forwarded).
-type workerExtractor func(r *http.Request, body []byte) string
-
-func workerFromQuery(r *http.Request, _ []byte) string {
-	return r.URL.Query().Get("workerId")
-}
-
-func workerFromSubmitBody(_ *http.Request, body []byte) string {
-	var req platform.SubmitRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return ""
+// ownerProxy forwards the request unchanged to the ring owner of its
+// project (the path's {project}, or the default project on the unscoped
+// /v1 routes) and copies the response back: status, typed error bodies and
+// Retry-After hints included, so the client sees exactly what the owner
+// said. A transport failure marks the shard down and degrades to the typed
+// 503 (nothing was applied: the request never reached a handler that logs
+// events).
+func (rt *Router) ownerProxy(w http.ResponseWriter, r *http.Request) {
+	id := r.PathValue("project")
+	if id == "" {
+		id = store.DefaultProject
 	}
-	return req.WorkerID
-}
-
-func workerFromQueryOrBody(r *http.Request, body []byte) string {
-	if w := r.URL.Query().Get("workerId"); w != "" {
-		return w
+	shard := rt.ring.Get(id)
+	if !rt.tracker.Up(shard) {
+		rt.writeShardUnavailable(w, shard)
+		return
 	}
-	var req platform.InactiveRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		return ""
+	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	if err != nil {
+		writeError(w, http.StatusBadRequest, platform.CodeBadRequest, "read body: "+err.Error())
+		return
 	}
-	return req.WorkerID
-}
-
-// writeHandler proxies a write to the shard owning the request's worker.
-func (rt *Router) writeHandler(extract workerExtractor) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
-		if err != nil {
-			writeError(w, http.StatusBadRequest, platform.CodeBadRequest, "read body: "+err.Error())
-			return
-		}
-		worker := extract(r, body)
-		if worker == "" {
-			writeError(w, http.StatusBadRequest, platform.CodeBadRequest, "workerId required")
-			return
-		}
-		shard := rt.ring.Get(worker)
-		if !rt.tracker.Up(shard) {
-			rt.writeShardUnavailable(w, shard)
-			return
-		}
-		rt.proxy(w, r, shard, body)
-	}
-}
-
-// proxy forwards the request verbatim to shard and copies the response
-// back — status, typed error bodies and Retry-After hints included, so the
-// client sees exactly what the shard said. A transport failure marks the
-// shard down and degrades to the typed 503 (nothing was applied: the
-// request never reached a handler that logs events).
-func (rt *Router) proxy(w http.ResponseWriter, r *http.Request, shard string, body []byte) {
 	req, err := http.NewRequestWithContext(r.Context(), r.Method, shard+r.URL.RequestURI(), bytes.NewReader(body))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, platform.CodeInternal, err.Error())
@@ -382,10 +334,10 @@ func (rt *Router) writeShardUnavailable(w http.ResponseWriter, shard string) {
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	writeError(w, http.StatusServiceUnavailable, platform.CodeShardUnavailable,
-		"shard "+shard+" is unavailable; its key range will resume after it rejoins")
+		"shard "+shard+" is unavailable; its projects will resume after it rejoins")
 }
 
-// ---- read path: fan out and merge ----
+// ---- fleet-wide reads: fan out and merge ----
 
 // shardResult is one shard's answer to a fan-out read.
 type shardResult struct {
@@ -446,7 +398,7 @@ func (rt *Router) fanout(ctx context.Context, path string) []shardResult {
 
 // relayOrUnavailable handles a fan-out where no shard produced a 2xx: the
 // first non-2xx response is relayed as-is (it is already a typed error —
-// e.g. project_not_found), and if nothing answered at all the router emits
+// e.g. slo_disabled), and if nothing answered at all the router emits
 // its own 503.
 func relayOrUnavailable(w http.ResponseWriter, results []shardResult) {
 	for _, res := range results {
@@ -461,131 +413,9 @@ func relayOrUnavailable(w http.ResponseWriter, results []shardResult) {
 		"no shard available")
 }
 
-// basePath returns the shard-side path prefix for the request: the project
-// mount when the request came in project-scoped, the default mount
-// otherwise (legacy unversioned aliases are normalized to /v1).
-func basePath(r *http.Request) string {
-	if p := r.PathValue("project"); p != "" {
-		return "/v1/projects/" + p
-	}
-	return "/v1"
-}
-
-// decode2xx unmarshals every successful result into fresh T values,
-// keeping shard order.
-func decode2xx[T any](results []shardResult) []T {
-	var out []T
-	for _, res := range results {
-		if res.err != nil || res.status/100 != 2 {
-			continue
-		}
-		var v T
-		if err := json.Unmarshal(res.body, &v); err != nil {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
-}
-
-func ok2xx(results []shardResult) int {
-	n := 0
-	for _, res := range results {
-		if res.err == nil && res.status/100 == 2 {
-			n++
-		}
-	}
-	return n
-}
-
-// mergeResults majority-votes each task across shards. NONE answers do not
-// vote; a YES/NO tie keeps the first shard's answer (ring-node order, so
-// the choice is deterministic), and a task every shard reports NONE stays
-// NONE.
-func mergeResults(parts []platform.ResultsResponse) map[int]string {
-	merged := map[int]string{}
-	yes := map[int]int{}
-	no := map[int]int{}
-	first := map[int]string{}
-	for _, p := range parts {
-		for t, a := range p.Results {
-			if _, ok := merged[t]; !ok {
-				merged[t] = "NONE"
-			}
-			switch a {
-			case "YES":
-				yes[t]++
-			case "NO":
-				no[t]++
-			default:
-				continue
-			}
-			if _, ok := first[t]; !ok {
-				first[t] = a
-			}
-		}
-	}
-	for t := range merged {
-		switch {
-		case yes[t] > no[t]:
-			merged[t] = "YES"
-		case no[t] > yes[t]:
-			merged[t] = "NO"
-		case yes[t] > 0:
-			merged[t] = first[t]
-		}
-	}
-	return merged
-}
-
-// handleResults serves the merged cross-shard results view.
-func (rt *Router) handleResults(w http.ResponseWriter, r *http.Request) {
-	results := rt.fanout(r.Context(), basePath(r)+"/results")
-	if ok2xx(results) == 0 {
-		relayOrUnavailable(w, results)
-		return
-	}
-	merged := mergeResults(decode2xx[platform.ResultsResponse](results))
-	writeJSON(w, http.StatusOK, platform.ResultsResponse{Results: merged})
-}
-
-// handleStatus merges every live shard's status: counters sum, Total is
-// the shared dataset size (max), Done only once every live shard is done,
-// and Completed counts tasks whose cross-shard majority vote is decided —
-// the same number a client would get by merging /results itself.
-func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
-	base := basePath(r)
-	var stRes, resRes []shardResult
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() { defer wg.Done(); stRes = rt.fanout(r.Context(), base+"/status") }()
-	go func() { defer wg.Done(); resRes = rt.fanout(r.Context(), base+"/results") }()
-	wg.Wait()
-	if ok2xx(stRes) == 0 {
-		relayOrUnavailable(w, stRes)
-		return
-	}
-	parts := decode2xx[platform.StatusResponse](stRes)
-	merged := platform.StatusResponse{Done: true}
-	for _, p := range parts {
-		if merged.Strategy == "" {
-			merged.Strategy = p.Strategy
-		}
-		if p.Total > merged.Total {
-			merged.Total = p.Total
-		}
-		merged.Pending += p.Pending
-		merged.HITs += p.HITs
-		merged.Submitted += p.Submitted
-		merged.CostUSD += p.CostUSD
-		merged.Done = merged.Done && p.Done
-	}
-	for _, a := range mergeResults(decode2xx[platform.ResultsResponse](resRes)) {
-		if a != "NONE" {
-			merged.Completed++
-		}
-	}
-	writeJSON(w, http.StatusOK, merged)
+// decode unmarshals a 2xx answer into v, reporting whether it could.
+func (res shardResult) decode(v any) bool {
+	return res.err == nil && res.status/100 == 2 && json.Unmarshal(res.body, v) == nil
 }
 
 // ---- health, metrics, shards ----
@@ -621,7 +451,7 @@ type ReadyState struct {
 type ReadyRollup struct {
 	// Status is "ok" when every shard is ready, "degraded" when some shard
 	// reports degraded, "unavailable" (HTTP 503) when any shard is down or
-	// unready — with a shard down, part of the key range rejects writes,
+	// unready — with a shard down, its projects reject every request,
 	// so the fleet as a whole is not ready.
 	Status string       `json:"status"`
 	Shards []ReadyState `json:"shards"`
@@ -768,7 +598,13 @@ func (rt *Router) handleTraceByID(w http.ResponseWriter, r *http.Request) {
 // an SLO engine the first typed 404 (slo_disabled) is relayed as-is.
 func (rt *Router) handleSLO(w http.ResponseWriter, r *http.Request) {
 	results := rt.fanout(r.Context(), "/v1/slo")
-	parts := decode2xx[obsv.SLOReport](results)
+	var parts []obsv.SLOReport
+	for _, res := range results {
+		var rep obsv.SLOReport
+		if res.decode(&rep) {
+			parts = append(parts, rep)
+		}
+	}
 	if len(parts) == 0 {
 		relayOrUnavailable(w, results)
 		return
@@ -778,137 +614,39 @@ func (rt *Router) handleSLO(w http.ResponseWriter, r *http.Request) {
 
 // ---- projects ----
 
-// handleProjectList unions every live shard's project list: per-worker
-// state (Pending) sums, LastSeq is the max across shards (each shard logs
-// its own partition of the project's events).
+// handleProjectList lists every live shard's projects, taking each entry
+// only from the project's ring owner: a non-owner may host a same-named
+// project (every shard opens the default one), but its entry is not the
+// one the router serves.
 func (rt *Router) handleProjectList(w http.ResponseWriter, r *http.Request) {
 	results := rt.fanout(r.Context(), "/v1/projects")
-	if ok2xx(results) == 0 {
+	resp := platform.ProjectListResponse{Projects: []platform.ProjectInfo{}}
+	answered := false
+	for _, res := range results {
+		var part platform.ProjectListResponse
+		if !res.decode(&part) {
+			continue
+		}
+		answered = true
+		for _, p := range part.Projects {
+			if rt.ring.Get(p.ID) == res.shard {
+				resp.Projects = append(resp.Projects, p)
+			}
+		}
+	}
+	if !answered {
 		relayOrUnavailable(w, results)
 		return
 	}
-	byID := map[string]*platform.ProjectInfo{}
-	var order []string
-	for _, part := range decode2xx[platform.ProjectListResponse](results) {
-		for _, p := range part.Projects {
-			info, ok := byID[p.ID]
-			if !ok {
-				cp := p
-				byID[p.ID] = &cp
-				order = append(order, p.ID)
-				continue
-			}
-			info.Pending += p.Pending
-			if p.LastSeq > info.LastSeq {
-				info.LastSeq = p.LastSeq
-			}
-		}
-	}
 	// Default project first, the rest by id — the single-server order.
-	sort.SliceStable(order, func(i, j int) bool {
-		if (order[i] == "default") != (order[j] == "default") {
-			return order[i] == "default"
+	sort.Slice(resp.Projects, func(i, j int) bool {
+		a, b := resp.Projects[i].ID, resp.Projects[j].ID
+		if (a == store.DefaultProject) != (b == store.DefaultProject) {
+			return a == store.DefaultProject
 		}
-		return order[i] < order[j]
+		return a < b
 	})
-	resp := platform.ProjectListResponse{Projects: []platform.ProjectInfo{}}
-	for _, id := range order {
-		resp.Projects = append(resp.Projects, *byID[id])
-	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// handleProjectRoot serves GET (merged describe) and PUT (broadcast
-// create) for one project.
-func (rt *Router) handleProjectRoot(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("project")
-	switch r.Method {
-	case http.MethodGet:
-		results := rt.fanout(r.Context(), "/v1/projects/"+id)
-		if ok2xx(results) == 0 {
-			relayOrUnavailable(w, results)
-			return
-		}
-		var merged platform.ProjectInfo
-		for i, p := range decode2xx[platform.ProjectInfo](results) {
-			if i == 0 {
-				merged = p
-				continue
-			}
-			merged.Pending += p.Pending
-			if p.LastSeq > merged.LastSeq {
-				merged.LastSeq = p.LastSeq
-			}
-		}
-		writeJSON(w, http.StatusOK, merged)
-	case http.MethodPut:
-		rt.broadcastCreate(w, r, id)
-	default:
-		writeError(w, http.StatusMethodNotAllowed, platform.CodeMethodNotAllowed, "method not allowed")
-	}
-}
-
-// broadcastCreate PUTs the project on every shard. Creation must reach the
-// whole fleet — a worker can hash to any shard, so a project existing on
-// only some of them would 404 for part of the crowd. Any down shard fails
-// the call with the typed 503 (the PUT is idempotent; retry once the fleet
-// is whole).
-func (rt *Router) broadcastCreate(w http.ResponseWriter, r *http.Request, id string) {
-	shards := rt.ring.Nodes()
-	results := make([]shardResult, len(shards))
-	var wg sync.WaitGroup
-	for i, s := range shards {
-		results[i] = shardResult{shard: s}
-		if !rt.tracker.Up(s) {
-			results[i].err = errShardDown
-			continue
-		}
-		wg.Add(1)
-		go func(i int, s string) {
-			defer wg.Done()
-			req, err := http.NewRequestWithContext(r.Context(), http.MethodPut, s+"/v1/projects/"+id, nil)
-			if err != nil {
-				results[i].err = err
-				return
-			}
-			resp, err := rt.client.Do(req)
-			if err != nil {
-				if r.Context().Err() == nil {
-					rt.markDown(s, err)
-				}
-				results[i].err = err
-				return
-			}
-			defer resp.Body.Close()
-			body, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-			results[i].status = resp.StatusCode
-			results[i].body = body
-		}(i, s)
-	}
-	wg.Wait()
-	created := false
-	for _, res := range results {
-		if res.err != nil {
-			rt.writeShardUnavailable(w, res.shard)
-			return
-		}
-		if res.status/100 != 2 {
-			// Relay the shard's typed rejection (bad id, log failure, ...).
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(res.status)
-			w.Write(res.body) //nolint:errcheck
-			return
-		}
-		var cr platform.ProjectCreateResponse
-		if err := json.Unmarshal(res.body, &cr); err == nil && cr.Created {
-			created = true
-		}
-	}
-	status := http.StatusOK
-	if created {
-		status = http.StatusCreated
-	}
-	writeJSON(w, status, platform.ProjectCreateResponse{ID: id, Created: created})
 }
 
 // handleNotFound mirrors the shards' typed 404.

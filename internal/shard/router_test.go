@@ -15,39 +15,49 @@ import (
 	"icrowd/internal/platform"
 )
 
-// fakeShard is a scripted icrowd-server stand-in: it records which workers
-// hit its write endpoints and serves canned read bodies.
+// hit is one request a fake shard received.
+type hit struct {
+	method, uri, body string
+}
+
+// fakeShard is a scripted icrowd-server stand-in: it records every project
+// request it receives and serves canned bodies.
 type fakeShard struct {
-	mu      sync.Mutex
-	assigns []string
-	submits []string
-	status  platform.StatusResponse
-	results map[int]string
-	ready   string // readyz status body; "" serves ok
+	mu       sync.Mutex
+	hits     []hit
+	projects []platform.ProjectInfo // served by GET /v1/projects
+	ready    string                 // readyz status body; "" serves ok
+}
+
+func (f *fakeShard) record(r *http.Request) {
+	body, _ := io.ReadAll(r.Body)
+	f.mu.Lock()
+	f.hits = append(f.hits, hit{r.Method, r.URL.RequestURI(), string(body)})
+	f.mu.Unlock()
+}
+
+func (f *fakeShard) received() []hit {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]hit(nil), f.hits...)
 }
 
 func (f *fakeShard) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/assign", func(w http.ResponseWriter, r *http.Request) {
-		f.mu.Lock()
-		f.assigns = append(f.assigns, r.URL.Query().Get("workerId"))
-		f.mu.Unlock()
+	endpoint := func(w http.ResponseWriter, r *http.Request) {
+		f.record(r)
+		if strings.HasSuffix(r.URL.Path, "/assign") && r.URL.Query().Get("workerId") == "" {
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusBadRequest)
+			json.NewEncoder(w).Encode(platform.ErrorResponse{Code: platform.CodeBadRequest, Message: "workerId required"})
+			return
+		}
 		json.NewEncoder(w).Encode(platform.AssignResponse{Assigned: true, TaskID: 1})
-	})
-	mux.HandleFunc("/v1/submit", func(w http.ResponseWriter, r *http.Request) {
-		var req platform.SubmitRequest
-		json.NewDecoder(r.Body).Decode(&req)
-		f.mu.Lock()
-		f.submits = append(f.submits, req.WorkerID)
-		f.mu.Unlock()
-		json.NewEncoder(w).Encode(platform.SubmitResponse{Accepted: true})
-	})
-	mux.HandleFunc("/v1/status", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(f.status)
-	})
-	mux.HandleFunc("/v1/results", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(platform.ResultsResponse{Results: f.results})
-	})
+	}
+	for _, ep := range []string{"assign", "submit", "inactive", "status", "results"} {
+		mux.HandleFunc("/v1/"+ep, endpoint)
+		mux.HandleFunc("/v1/projects/{project}/"+ep, endpoint)
+	}
 	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		json.NewEncoder(w).Encode(map[string]string{"status": "ok"})
 	})
@@ -65,17 +75,16 @@ func (f *fakeShard) handler() http.Handler {
 		io.WriteString(w, "# HELP fake_total Fake.\n# TYPE fake_total counter\nfake_total 1\n")
 	})
 	mux.HandleFunc("/v1/projects", func(w http.ResponseWriter, r *http.Request) {
-		json.NewEncoder(w).Encode(platform.ProjectListResponse{Projects: []platform.ProjectInfo{
-			{ID: "default", Strategy: "baseline-mv", LastSeq: 3, Pending: 1},
-		}})
+		json.NewEncoder(w).Encode(platform.ProjectListResponse{Projects: f.projects})
 	})
 	mux.HandleFunc("/v1/projects/{project}", func(w http.ResponseWriter, r *http.Request) {
+		f.record(r)
 		if r.Method == http.MethodPut {
 			w.WriteHeader(http.StatusCreated)
 			json.NewEncoder(w).Encode(platform.ProjectCreateResponse{ID: r.PathValue("project"), Created: true})
 			return
 		}
-		json.NewEncoder(w).Encode(platform.ProjectInfo{ID: r.PathValue("project"), Strategy: "baseline-mv", LastSeq: 2, Pending: 1})
+		json.NewEncoder(w).Encode(platform.ProjectInfo{ID: r.PathValue("project"), Strategy: "baseline-mv"})
 	})
 	return mux
 }
@@ -87,7 +96,7 @@ func newFleet(t *testing.T, n int) (*httptest.Server, []*fakeShard, []string, *R
 	fakes := make([]*fakeShard, n)
 	urls := make([]string, n)
 	for i := range fakes {
-		fakes[i] = &fakeShard{results: map[int]string{}}
+		fakes[i] = &fakeShard{}
 		srv := httptest.NewServer(fakes[i].handler())
 		t.Cleanup(srv.Close)
 		urls[i] = srv.URL
@@ -99,6 +108,26 @@ func newFleet(t *testing.T, n int) (*httptest.Server, []*fakeShard, []string, *R
 	front := httptest.NewServer(rt.Handler())
 	t.Cleanup(front.Close)
 	return front, fakes, urls, rt
+}
+
+// projectIDs generates n synthetic project IDs.
+func projectIDs(n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("p%04d", i)
+	}
+	return out
+}
+
+// ownedBy returns the IDs among ids whose ring owner is shard.
+func ownedBy(rt *Router, ids []string, shard string) []string {
+	var out []string
+	for _, id := range ids {
+		if rt.ring.Get(id) == shard {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 func get(t *testing.T, url string) (int, []byte) {
@@ -115,61 +144,75 @@ func get(t *testing.T, url string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-func TestRouterRoutesWritesByWorker(t *testing.T) {
+func do(t *testing.T, method, url, body string) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url, strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, b
+}
+
+// TestRouterRoutesByProject pins owner routing: every request of a project
+// — the five endpoints and the project's own GET — reaches its ring owner
+// and no other shard, with method, path, query and body unchanged; the
+// unscoped /v1 routes belong to the default project's owner.
+func TestRouterRoutesByProject(t *testing.T) {
 	front, fakes, urls, rt := newFleet(t, 3)
-	workers := keys(60)
-	for _, w := range workers {
-		status, _ := get(t, front.URL+"/v1/assign?workerId="+w)
-		if status != http.StatusOK {
-			t.Fatalf("assign %s: HTTP %d", w, status)
-		}
-		body := fmt.Sprintf(`{"workerId":%q,"taskId":1,"answer":"YES"}`, w)
-		resp, err := http.Post(front.URL+"/v1/submit", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("submit %s: HTTP %d", w, resp.StatusCode)
+	requests := func(prefix string) []hit {
+		return []hit{
+			{http.MethodGet, prefix + "/assign?workerId=w1", ""},
+			{http.MethodPost, prefix + "/submit", `{"workerId":"w1","taskId":1,"answer":"YES"}`},
+			{http.MethodPost, prefix + "/inactive", `{"workerId":"w1"}`},
+			{http.MethodGet, prefix + "/status", ""},
+			{http.MethodGet, prefix + "/results", ""},
 		}
 	}
-	// Every worker's assign and submit landed on the ring-owning shard.
-	byURL := map[string]*fakeShard{}
+	want := map[string][]hit{}
+	for _, id := range projectIDs(30) {
+		prefix := "/v1/projects/" + id
+		reqs := append(requests(prefix), hit{http.MethodGet, prefix, ""})
+		want[rt.ring.Get(id)] = append(want[rt.ring.Get(id)], reqs...)
+	}
+	want[rt.ring.Get("default")] = append(want[rt.ring.Get("default")], requests("/v1")...)
+	// Send the requests in shard order so each fake's log is comparable.
+	for _, u := range urls {
+		for _, h := range want[u] {
+			if status, body := do(t, h.method, front.URL+h.uri, h.body); status != http.StatusOK {
+				t.Fatalf("%s %s: HTTP %d %s", h.method, h.uri, status, body)
+			}
+		}
+	}
 	for i, u := range urls {
-		byURL[u] = fakes[i]
-	}
-	for _, w := range workers {
-		owner := byURL[rt.ring.Get(w)]
-		if !contains(owner.assigns, w) {
-			t.Fatalf("worker %s assign did not reach its ring owner", w)
+		if len(want[u]) == 0 {
+			t.Fatalf("shard %d owns no project; the ring is degenerate", i)
 		}
-		if !contains(owner.submits, w) {
-			t.Fatalf("worker %s submit did not reach its ring owner", w)
+		got := fakes[i].received()
+		if len(got) != len(want[u]) {
+			t.Fatalf("shard %d received %d requests, want %d: %+v", i, len(got), len(want[u]), got)
 		}
-	}
-	for i, f := range fakes {
-		if len(f.assigns) == 0 {
-			t.Fatalf("shard %d received no assigns — ring is degenerate", i)
-		}
-		for _, w := range f.assigns {
-			if rt.ring.Get(w) != urls[i] {
-				t.Fatalf("worker %s reached shard %d but the ring owns it elsewhere", w, i)
+		for j := range got {
+			if got[j] != want[u][j] {
+				t.Fatalf("shard %d request %d = %+v, want %+v", i, j, got[j], want[u][j])
 			}
 		}
 	}
 }
 
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
-}
-
+// TestRouterMissingWorkerIsTyped400 pins that validation is the owner's:
+// an assign without a worker reaches the default project's owner, whose
+// typed 400 the router relays.
 func TestRouterMissingWorkerIsTyped400(t *testing.T) {
-	front, _, _, _ := newFleet(t, 2)
+	front, fakes, urls, rt := newFleet(t, 2)
 	status, body := get(t, front.URL+"/v1/assign")
 	if status != http.StatusBadRequest {
 		t.Fatalf("HTTP %d, want 400", status)
@@ -178,52 +221,47 @@ func TestRouterMissingWorkerIsTyped400(t *testing.T) {
 	if err := json.Unmarshal(body, &er); err != nil || er.Code != platform.CodeBadRequest {
 		t.Fatalf("body %s, want code bad_request", body)
 	}
+	for i, u := range urls {
+		n := len(fakes[i].received())
+		if owner := rt.ring.Get("default") == u; (n == 1) != owner {
+			t.Fatalf("shard %d (owner %v) received %d requests", i, owner, n)
+		}
+	}
 }
 
 func TestRouterDownShardGetsTyped503(t *testing.T) {
 	front, _, urls, rt := newFleet(t, 3)
-	// Find a worker owned by shard 0, then kill shard 0 at the transport
-	// level by marking it down (the passive path is exercised in the chaos
-	// test against real closed listeners).
-	var victim string
-	for _, w := range keys(200) {
-		if rt.ring.Get(w) == urls[0] {
-			victim = w
-			break
-		}
-	}
-	if victim == "" {
-		t.Fatal("no worker maps to shard 0")
+	// Kill shard 0 at the transport level by marking it down (the passive
+	// path is exercised in the chaos test against real closed listeners).
+	ids := projectIDs(60)
+	victims, survivors := ownedBy(rt, ids, urls[0]), ownedBy(rt, ids, urls[1])
+	if len(victims) == 0 || len(survivors) == 0 {
+		t.Fatal("a shard owns none of the projects; grow the ID set")
 	}
 	rt.markDown(urls[0], fmt.Errorf("test: connection refused"))
 
-	status, body := get(t, front.URL+"/v1/assign?workerId="+victim)
-	if status != http.StatusServiceUnavailable {
-		t.Fatalf("HTTP %d, want 503", status)
-	}
-	var er platform.ErrorResponse
-	if err := json.Unmarshal(body, &er); err != nil || er.Code != platform.CodeShardUnavailable {
-		t.Fatalf("body %s, want code shard_unavailable", body)
-	}
-	resp, err := http.Get(front.URL + "/v1/assign?workerId=" + victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
-		t.Fatalf("Retry-After = %q, want integer >= 1", resp.Header.Get("Retry-After"))
-	}
-
-	// Workers owned by surviving shards still get through.
-	var survivor string
-	for _, w := range keys(200) {
-		if rt.ring.Get(w) != urls[0] {
-			survivor = w
-			break
+	for _, path := range []string{
+		"/v1/projects/" + victims[0] + "/assign?workerId=w1",
+		"/v1/projects/" + victims[0],
+	} {
+		resp, err := http.Get(front.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		var er platform.ErrorResponse
+		if resp.StatusCode != http.StatusServiceUnavailable ||
+			json.Unmarshal(body, &er) != nil || er.Code != platform.CodeShardUnavailable {
+			t.Fatalf("GET %s: HTTP %d %s, want typed 503 shard_unavailable", path, resp.StatusCode, body)
+		}
+		if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err != nil || ra < 1 {
+			t.Fatalf("Retry-After = %q, want integer >= 1", resp.Header.Get("Retry-After"))
 		}
 	}
-	if status, _ := get(t, front.URL+"/v1/assign?workerId="+survivor); status != http.StatusOK {
-		t.Fatalf("survivor worker got HTTP %d, want 200", status)
+	// Projects owned by surviving shards still get through.
+	if status, _ := get(t, front.URL+"/v1/projects/"+survivors[0]+"/assign?workerId=w1"); status != http.StatusOK {
+		t.Fatalf("survivor project got HTTP %d, want 200", status)
 	}
 }
 
@@ -253,59 +291,81 @@ func TestRouterProbeReadmitsShard(t *testing.T) {
 	}
 }
 
-func TestRouterStatusAndResultsMerge(t *testing.T) {
-	front, fakes, _, _ := newFleet(t, 3)
-	fakes[0].status = platform.StatusResponse{Strategy: "baseline-mv", Total: 4, Pending: 1, HITs: 5, Submitted: 4, CostUSD: 0.4, Done: true}
-	fakes[1].status = platform.StatusResponse{Strategy: "baseline-mv", Total: 4, Pending: 2, HITs: 3, Submitted: 2, CostUSD: 0.2, Done: false}
-	fakes[2].status = platform.StatusResponse{Strategy: "baseline-mv", Total: 4, Pending: 0, HITs: 1, Submitted: 1, CostUSD: 0.1, Done: true}
-	// Task 0: 2xYES vs 1xNO -> YES. Task 1: YES/NO tie -> first shard's
-	// answer in URL order. Task 2: only NONEs -> NONE. Task 3: one shard
-	// decided -> its answer.
-	fakes[0].results = map[int]string{0: "YES", 1: "YES", 2: "NONE", 3: "NONE"}
-	fakes[1].results = map[int]string{0: "YES", 1: "NO", 2: "NONE", 3: "NO"}
-	fakes[2].results = map[int]string{0: "NO", 1: "NONE", 2: "NONE", 3: "NONE"}
-
-	status, body := get(t, front.URL+"/v1/results")
-	if status != http.StatusOK {
-		t.Fatalf("results HTTP %d", status)
+// TestRouterProjectCreateOwnerOnly pins that PUT /v1/projects/{id} creates
+// the project on its owner alone: the owner's 201 is relayed, no other
+// shard sees the request, a down non-owner does not block the create, and
+// a down owner answers the typed 503.
+func TestRouterProjectCreateOwnerOnly(t *testing.T) {
+	front, fakes, urls, rt := newFleet(t, 3)
+	ids := projectIDs(60)
+	id := ownedBy(rt, ids, urls[1])[0]
+	status, body := do(t, http.MethodPut, front.URL+"/v1/projects/"+id, "")
+	var cr platform.ProjectCreateResponse
+	if status != http.StatusCreated || json.Unmarshal(body, &cr) != nil || cr.ID != id || !cr.Created {
+		t.Fatalf("PUT: HTTP %d %s, want 201 created", status, body)
 	}
-	var res platform.ResultsResponse
-	if err := json.Unmarshal(body, &res); err != nil {
-		t.Fatal(err)
-	}
-	if res.Results[0] != "YES" {
-		t.Fatalf("task 0 = %s, want YES (majority)", res.Results[0])
-	}
-	if res.Results[1] != "YES" && res.Results[1] != "NO" {
-		t.Fatalf("task 1 = %s, want a decided tie-break", res.Results[1])
-	}
-	if res.Results[2] != "NONE" {
-		t.Fatalf("task 2 = %s, want NONE", res.Results[2])
-	}
-	if res.Results[3] != "NO" {
-		t.Fatalf("task 3 = %s, want NO (only decided vote)", res.Results[3])
+	for i, f := range fakes {
+		if got := len(f.received()); (got == 1) != (i == 1) {
+			t.Fatalf("shard %d received %d requests for a project shard 1 owns", i, got)
+		}
 	}
 
-	status, body = get(t, front.URL+"/v1/status")
-	if status != http.StatusOK {
-		t.Fatalf("status HTTP %d", status)
+	rt.markDown(urls[0], fmt.Errorf("test: down"))
+	if status, body := do(t, http.MethodPut, front.URL+"/v1/projects/"+ownedBy(rt, ids, urls[2])[0], ""); status != http.StatusCreated {
+		t.Fatalf("PUT with a non-owner down: HTTP %d %s, want 201", status, body)
 	}
-	var st platform.StatusResponse
-	if err := json.Unmarshal(body, &st); err != nil {
-		t.Fatal(err)
+	status, body = do(t, http.MethodPut, front.URL+"/v1/projects/"+ownedBy(rt, ids, urls[0])[0], "")
+	var er platform.ErrorResponse
+	if status != http.StatusServiceUnavailable || json.Unmarshal(body, &er) != nil || er.Code != platform.CodeShardUnavailable {
+		t.Fatalf("PUT with the owner down: HTTP %d %s, want typed 503", status, body)
 	}
-	if st.Strategy != "baseline-mv" || st.Total != 4 {
-		t.Fatalf("merged strategy/total = %s/%d", st.Strategy, st.Total)
+}
+
+// TestRouterProjectListFromOwners pins GET /v1/projects: every shard lists
+// every project, and the router keeps each project's entry from its owner
+// only, in the single-server order (default first, then by ID). A down
+// owner's projects drop out of the list.
+func TestRouterProjectListFromOwners(t *testing.T) {
+	front, fakes, urls, rt := newFleet(t, 3)
+	ids := append([]string{"default"}, projectIDs(12)...)
+	for i, f := range fakes {
+		for _, id := range ids {
+			// LastSeq names the shard that produced the entry.
+			f.projects = append(f.projects, platform.ProjectInfo{ID: id, Strategy: "baseline-mv", LastSeq: int64(i + 1)})
+		}
 	}
-	if st.Pending != 3 || st.HITs != 9 || st.Submitted != 7 {
-		t.Fatalf("merged sums wrong: %+v", st)
+	list := func() []platform.ProjectInfo {
+		t.Helper()
+		status, body := get(t, front.URL+"/v1/projects")
+		var resp platform.ProjectListResponse
+		if status != http.StatusOK || json.Unmarshal(body, &resp) != nil {
+			t.Fatalf("list: HTTP %d %s", status, body)
+		}
+		return resp.Projects
 	}
-	if st.Done {
-		t.Fatal("Done must be AND across shards (shard 1 is not done)")
+	check := func(got []platform.ProjectInfo, up func(string) bool) {
+		t.Helper()
+		var want []string
+		for _, id := range ids {
+			if up(rt.ring.Get(id)) {
+				want = append(want, id)
+			}
+		}
+		if len(got) != len(want) {
+			t.Fatalf("listed %d projects, want %d: %+v", len(got), len(want), got)
+		}
+		for i, p := range got {
+			if p.ID != want[i] {
+				t.Fatalf("entry %d is %s, want %s (default first, then by ID)", i, p.ID, want[i])
+			}
+			if owner := urls[p.LastSeq-1]; owner != rt.ring.Get(p.ID) {
+				t.Fatalf("project %s listed from %s, not its owner %s", p.ID, owner, rt.ring.Get(p.ID))
+			}
+		}
 	}
-	if st.Completed != 3 { // tasks 0, 1, 3 decided after the merge
-		t.Fatalf("Completed = %d, want 3", st.Completed)
-	}
+	check(list(), func(string) bool { return true })
+	rt.markDown(urls[2], fmt.Errorf("test: down"))
+	check(list(), func(s string) bool { return s != urls[2] })
 }
 
 func TestRouterReadyzRollsUpWorstState(t *testing.T) {
@@ -364,61 +424,19 @@ func TestRouterMetricsMergesShardsAndSelf(t *testing.T) {
 	}
 }
 
-func TestRouterProjectBroadcast(t *testing.T) {
-	front, _, urls, rt := newFleet(t, 3)
-	req, _ := http.NewRequest(http.MethodPut, front.URL+"/v1/projects/batch7", nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("PUT HTTP %d: %s", resp.StatusCode, body)
-	}
-	var cr platform.ProjectCreateResponse
-	if err := json.Unmarshal(body, &cr); err != nil || cr.ID != "batch7" || !cr.Created {
-		t.Fatalf("create response %s", body)
-	}
-
-	// List merges shard views: Pending sums, LastSeq max.
-	status, body := get(t, front.URL+"/v1/projects")
-	if status != http.StatusOK {
-		t.Fatalf("list HTTP %d", status)
-	}
-	var list platform.ProjectListResponse
-	if err := json.Unmarshal(body, &list); err != nil {
-		t.Fatal(err)
-	}
-	if len(list.Projects) != 1 || list.Projects[0].ID != "default" {
-		t.Fatalf("list %s", body)
-	}
-	if list.Projects[0].Pending != 3 || list.Projects[0].LastSeq != 3 {
-		t.Fatalf("merged pending/lastSeq = %d/%d, want 3/3", list.Projects[0].Pending, list.Projects[0].LastSeq)
-	}
-
-	// With a shard down, create must refuse: the project would be missing
-	// for every worker hashing to the dead shard.
-	rt.markDown(urls[0], fmt.Errorf("test: down"))
-	req, _ = http.NewRequest(http.MethodPut, front.URL+"/v1/projects/batch8", nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ = io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var er platform.ErrorResponse
-	if resp.StatusCode != http.StatusServiceUnavailable ||
-		json.Unmarshal(body, &er) != nil || er.Code != platform.CodeShardUnavailable {
-		t.Fatalf("PUT with down shard: HTTP %d %s, want typed 503", resp.StatusCode, body)
-	}
-}
-
+// TestRouterUnknownPathIsTyped404 pins the typed 404 for unknown paths,
+// the seed's unversioned endpoint paths included: the router does not
+// serve them and forwards nothing.
 func TestRouterUnknownPathIsTyped404(t *testing.T) {
-	front, _, _, _ := newFleet(t, 1)
-	status, body := get(t, front.URL+"/v1/nope")
-	var er platform.ErrorResponse
-	if status != http.StatusNotFound || json.Unmarshal(body, &er) != nil || er.Code != platform.CodeNotFound {
-		t.Fatalf("HTTP %d %s, want typed 404", status, body)
+	front, fakes, _, _ := newFleet(t, 1)
+	for _, path := range []string{"/v1/nope", "/assign?workerId=w1", "/submit", "/inactive", "/status", "/results"} {
+		status, body := get(t, front.URL+path)
+		var er platform.ErrorResponse
+		if status != http.StatusNotFound || json.Unmarshal(body, &er) != nil || er.Code != platform.CodeNotFound {
+			t.Fatalf("GET %s: HTTP %d %s, want typed 404", path, status, body)
+		}
+	}
+	if got := fakes[0].received(); len(got) != 0 {
+		t.Fatalf("unknown paths reached the shard: %+v", got)
 	}
 }

@@ -16,17 +16,18 @@ import (
 	"icrowd/internal/platform"
 )
 
-// submitOnce runs one assign+submit for worker through the front URL and
-// returns the submit response's X-Request-Id (the trace ID).
-func submitOnce(t *testing.T, front, worker string) string {
+// submitOnce runs one assign+submit for worker in project through the
+// front URL and returns the submit response's X-Request-Id (the trace ID).
+func submitOnce(t *testing.T, front, project, worker string) string {
 	t.Helper()
-	status, body := get(t, front+"/v1/assign?workerId="+worker)
+	prefix := front + "/v1/projects/" + project
+	status, body := get(t, prefix+"/assign?workerId="+worker)
 	var ar platform.AssignResponse
 	if status != http.StatusOK || json.Unmarshal(body, &ar) != nil || !ar.Assigned {
 		t.Fatalf("assign %s: %d %s", worker, status, body)
 	}
 	payload := fmt.Sprintf(`{"workerId":%q,"taskId":%d,"answer":"YES"}`, worker, ar.TaskID)
-	resp, err := http.Post(front+"/v1/submit", "application/json", strings.NewReader(payload))
+	resp, err := http.Post(prefix+"/submit", "application/json", strings.NewReader(payload))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +96,7 @@ func checkSubmitAssembly(t *testing.T, asm TraceAssembly, rid, owner string) {
 	}
 }
 
-// TestTraceAssemblyAcrossFleet is the tentpole's end-to-end pin: a submit
+// TestTraceAssemblyAcrossFleet is the end-to-end tracing pin: a submit
 // through the router over two real shards yields one shared 128-bit trace
 // whose assembled tree has the router span as root and the owning shard's
 // spans beneath it — and the assembly survives killing and restarting a
@@ -104,7 +105,7 @@ func TestTraceAssemblyAcrossFleet(t *testing.T) {
 	dir := t.TempDir()
 	shards := make([]*shardProc, 2)
 	for i := range shards {
-		shards[i] = startShard(t, i, "", filepath.Join(dir, fmt.Sprintf("shard%d.events.log", i)))
+		shards[i] = startProductShard(t, filepath.Join(dir, fmt.Sprintf("shard%d", i)))
 	}
 	defer func() {
 		for _, p := range shards {
@@ -121,22 +122,20 @@ func TestTraceAssemblyAcrossFleet(t *testing.T) {
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
-	// Find one worker per shard so the test can aim requests at each.
-	workerFor := map[string]string{}
-	for _, w := range keys(40) {
-		owner := rt.ring.Get(w)
-		if workerFor[owner] == "" {
-			workerFor[owner] = w
-		}
-	}
+	// Create one project per shard so the test can aim requests at each.
+	projectFor := map[string]string{}
 	for _, u := range urls {
-		if workerFor[u] == "" {
-			t.Fatalf("no worker hashes to %s; grow the key set", u)
+		owned := ownedBy(rt, projectIDs(40), u)
+		if len(owned) == 0 {
+			t.Fatalf("no project hashes to %s; grow the ID set", u)
+		}
+		projectFor[u] = owned[0]
+		if status, body := do(t, http.MethodPut, front.URL+"/v1/projects/"+owned[0], ""); status != http.StatusCreated {
+			t.Fatalf("create %s: HTTP %d %s", owned[0], status, body)
 		}
 	}
 
-	w0 := workerFor[urls[0]]
-	rid := submitOnce(t, front.URL, w0)
+	rid := submitOnce(t, front.URL, projectFor[urls[0]], "w1")
 	checkSubmitAssembly(t, fetchAssembly(t, front.URL, rid), rid, urls[0])
 
 	// Kill shard 1: the assembly of shard-0 traces still answers, noting
@@ -148,7 +147,7 @@ func TestTraceAssemblyAcrossFleet(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("router never marked the killed shard down")
 		}
-		get(t, front.URL+"/v1/status") // passive failure detection
+		get(t, front.URL+"/v1/projects/"+projectFor[victim.url]+"/status") // passive failure detection
 		time.Sleep(10 * time.Millisecond)
 	}
 	asm := fetchAssembly(t, front.URL, rid)
@@ -165,7 +164,7 @@ func TestTraceAssemblyAcrossFleet(t *testing.T) {
 
 	// Restart the shard at the same address and trace a request through it:
 	// the rejoined process contributes fresh spans to new traces.
-	shards[1] = startShard(t, 1, victim.addr, victim.logPath)
+	shards[1] = victim.restart(t)
 	deadline = time.Now().Add(5 * time.Second)
 	for !rt.tracker.Up(victim.url) {
 		if time.Now().After(deadline) {
@@ -173,7 +172,7 @@ func TestTraceAssemblyAcrossFleet(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
-	rid1 := submitOnce(t, front.URL, workerFor[urls[1]])
+	rid1 := submitOnce(t, front.URL, projectFor[urls[1]], "w1")
 	checkSubmitAssembly(t, fetchAssembly(t, front.URL, rid1), rid1, urls[1])
 	if rid1 == rid {
 		t.Fatal("distinct requests shared a trace ID")
