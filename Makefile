@@ -41,14 +41,16 @@ race-hot:
 store-conformance:
 	$(GO) test -run 'TestConformance' -count=1 ./internal/store
 
-# Short native fuzzing of the byte parsers at the trust boundaries (the
-# store's log reader and snapshot parser, and the traceparent header every
-# router and shard request parses), 10s per target; the seed corpora under
-# each package's testdata/fuzz also replay on every plain `go test`.
+# Short native fuzzing of the parsers at the trust boundaries (the store's
+# log reader and snapshot parser, the traceparent header every router and
+# shard request parses, and the server's -slo-endpoint-latency flag), 10s
+# per target; the seed corpora under each package's testdata/fuzz also
+# replay on every plain `go test`.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadTolerant$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceparent$$' -fuzztime 10s ./internal/obsv
+	$(GO) test -run '^$$' -fuzz '^FuzzParseSLOLatencySpec$$' -fuzztime 10s ./internal/platform
 
 # End-to-end overload smoke: boot icrowd-server with admission control and
 # the per-worker limiter on, drive a short open-loop load pass, and fail
@@ -72,7 +74,8 @@ trace-smoke:
 	./scripts/trace_smoke.sh
 
 # Determinism contracts on their own: parallel precompute and the cached
-# scheme are bit-identical to the sequential paths, the golden basis,
+# scheme are bit-identical to the sequential paths, the batched push kernel
+# is bit-identical to one push solve per seed, the golden basis,
 # adaptive and baseline runs pin the offline phase and every decision on
 # the benchmark's dataset shape, the interned Jaccard and tf-idf kernels
 # match their map-based references and Cos(tf-idf) builds reproduce to the

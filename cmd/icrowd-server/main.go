@@ -104,6 +104,13 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
+	// Every strategy takes its qualification microtasks by InfQF, which
+	// depends on the basis and -q alone, not on the seed: select them once
+	// and share the set across projects.
+	qual, err := qualify.Select(qualify.InfQF, basis, *q, *seed)
+	if err != nil {
+		fail(err)
+	}
 
 	// newStrategy builds a fresh strategy from the flags with the given
 	// seed. It doubles as the per-project factory: every project gets its
@@ -119,11 +126,7 @@ func main() {
 			cfg.Q = *q
 			cfg.Mode = mode
 			cfg.Seed = strategySeed
-			return core.New(ds, basis, cfg)
-		}
-		qual, err := qualify.Select(qualify.InfQF, basis, *q, strategySeed)
-		if err != nil {
-			return nil, err
+			return core.New(ds, basis, cfg, core.WithQualification(qual))
 		}
 		switch *strategy {
 		case "randommv":

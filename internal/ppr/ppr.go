@@ -157,7 +157,8 @@ func DenseSolve(g *simgraph.Graph, q []float64, o Options) ([]float64, Result, e
 // floating-point accumulation order: the result is bit-identical across
 // runs. SparseSolve is the reference implementation the allocation-lean
 // push solver (Solver.Solve) is pinned bit-exact against; the precompute
-// hot path uses the push solver, this one exists for verification.
+// hot path uses the push solver and its batched form, this one exists for
+// verification.
 func SparseSolve(g *simgraph.Graph, seed int, o Options) (map[int]float64, Result, error) {
 	if err := o.validate(); err != nil {
 		return nil, Result{}, err
@@ -235,8 +236,11 @@ type Basis struct {
 }
 
 // Precompute solves the basis vector of every task across a bounded worker
-// pool (offline step of Algorithm 1 / Algorithm 4 line 2-3). Options.Workers
-// sizes the pool; the output is bit-identical for any pool size.
+// pool (offline step of Algorithm 1 / Algorithm 4 line 2-3). On graphs of
+// up to maxBatchedN tasks the seeds of each connected component are solved
+// eight per CSR walk (batchSolver). Options.Workers sizes the pool; the
+// output is bit-identical for any pool size and to one Solver.Solve per
+// seed.
 func Precompute(g *simgraph.Graph, o Options) (*Basis, error) {
 	if err := o.validate(); err != nil {
 		return nil, err
@@ -348,73 +352,59 @@ func (b *Basis) Invalidate(i int) {
 	b.res[i] = Result{}
 }
 
-// solveChunk is how many seeds a pool worker claims at a time: large enough
-// to amortize the atomic fetch, small enough to keep the pool balanced.
-const solveChunk = 16
-
 // solveSeeds solves every seed in the list (assumed valid and distinct)
-// with the push solver and stores vecs[seed]/res[seed]. Empty batches
-// return before touching any instrument, so no-op calls (all-duplicate
-// PrecomputePartial input, SolveMissing with nothing missing) cannot
-// pollute the batch-latency histogram. With one worker it runs inline on
-// the shared scratch solver (allocated here when the caller has none);
-// otherwise a bounded pool claims contiguous chunks off an atomic cursor,
-// each pool worker reusing its own scratch across all its seeds. Each
-// result lands at its own index and errors are reported for the lowest
-// failing seed position, so the outcome is independent of goroutine
-// scheduling — and the push solver's fixed accumulation order makes it
+// and stores vecs[seed]/res[seed]. Empty batches return before touching
+// any instrument, so no-op calls (all-duplicate PrecomputePartial input,
+// SolveMissing with nothing missing) cannot pollute the batch-latency
+// histogram. Without a shared solver, the seeds of a small graph go out in
+// lane batches (laneBatches) to the batched kernel; otherwise — a large
+// graph, or the delta path, whose shared solver is SolveMissing's — they go
+// out one at a time to the push Solver. With one worker the units run
+// inline on the shared scratch solver (allocated on first use when the
+// caller has none); otherwise a bounded pool claims units off an atomic
+// cursor, each pool worker reusing its own scratch across all its units.
+// Each result lands at its own index and errors are reported for the
+// lowest failing unit, so the outcome is independent of goroutine
+// scheduling — and both kernels' fixed accumulation order makes it
 // bit-identical for any worker count.
 func solveSeeds(g *simgraph.Graph, o Options, seeds []int, vecs []map[int]float64, res []Result, shared *Solver) error {
 	if len(seeds) == 0 {
 		return nil
 	}
-	workers := o.workerCount(len(seeds))
+	var batches [][]int
+	if shared == nil {
+		batches = laneBatches(g, seeds)
+	}
+	work := units{seeds: seeds, batches: batches}
+	workers := o.workerCount(work.len())
 	mPoolWorkers.Set(float64(workers))
 	defer func(start time.Time) {
 		mSolveLat.Observe(time.Since(start))
 		mSeedsSolved.Add(int64(len(seeds)))
 	}(time.Now())
 	if workers == 1 {
-		sv := shared
-		if sv == nil {
-			sv = NewSolver(g)
-		}
-		for _, s := range seeds {
-			v, r, err := sv.Solve(s, o)
-			if err != nil {
+		sc := scratch{g: g, sv: shared}
+		for k := 0; k < work.len(); k++ {
+			if err := sc.solve(work.at(k), o, vecs, res); err != nil {
 				return err
 			}
-			vecs[s] = v
-			res[s] = r
 		}
 		return nil
 	}
-	errs := make([]error, len(seeds))
+	errs := make([]error, work.len())
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sv := NewSolver(g) // per-pool-worker scratch, reused across its chunks
+			sc := scratch{g: g} // per-pool-worker scratch, reused across its units
 			for {
-				start := int(cursor.Add(solveChunk)) - solveChunk
-				if start >= len(seeds) {
+				k := int(cursor.Add(1)) - 1
+				if k >= work.len() {
 					return
 				}
-				end := start + solveChunk
-				if end > len(seeds) {
-					end = len(seeds)
-				}
-				for k := start; k < end; k++ {
-					v, r, err := sv.Solve(seeds[k], o)
-					if err != nil {
-						errs[k] = err
-						continue
-					}
-					vecs[seeds[k]] = v
-					res[seeds[k]] = r
-				}
+				errs[k] = sc.solve(work.at(k), o, vecs, res)
 			}
 		}()
 	}
@@ -424,6 +414,56 @@ func solveSeeds(g *simgraph.Graph, o Options, seeds []int, vecs []map[int]float6
 			return err
 		}
 	}
+	return nil
+}
+
+// units is solveSeeds' work list: the lane batches when there are any,
+// each seed alone otherwise.
+type units struct {
+	seeds   []int
+	batches [][]int
+}
+
+func (u units) len() int {
+	if u.batches != nil {
+		return len(u.batches)
+	}
+	return len(u.seeds)
+}
+
+func (u units) at(k int) []int {
+	if u.batches != nil {
+		return u.batches[k]
+	}
+	return u.seeds[k : k+1]
+}
+
+// scratch is one solveSeeds worker's solvers, each allocated on first use.
+type scratch struct {
+	g  *simgraph.Graph
+	sv *Solver
+	bs *batchSolver
+}
+
+// solve solves one unit: a batch of two or more seeds on the batched
+// kernel, a single seed on the push Solver.
+func (sc *scratch) solve(unit []int, o Options, vecs []map[int]float64, res []Result) error {
+	if len(unit) > 1 {
+		if sc.bs == nil {
+			sc.bs = newBatchSolver(sc.g)
+		}
+		sc.bs.solve(unit, o, vecs, res)
+		return nil
+	}
+	if sc.sv == nil {
+		sc.sv = NewSolver(sc.g)
+	}
+	v, r, err := sc.sv.Solve(unit[0], o)
+	if err != nil {
+		return err
+	}
+	vecs[unit[0]] = v
+	res[unit[0]] = r
 	return nil
 }
 

@@ -194,6 +194,40 @@ func TestSelectDispatch(t *testing.T) {
 	}
 }
 
+// TestSelectInfQFIgnoresSeed pins what lets icrowd-server select its
+// qualification set once and share it across projects: InfQF's choice on
+// the server's basis depends on the basis and q alone, never on the seed,
+// while RandomQF's does.
+func TestSelectInfQFIgnoresSeed(t *testing.T) {
+	ds := task.GenerateItemCompare(1)
+	g, err := simgraph.Build(ds.Len(), simgraph.JaccardMetric(ds), 0.25, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := ppr.Precompute(g, ppr.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := Select(InfQF, b, 10, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []int64{0, 2, 7, -3, 1 << 40} {
+		got, err := Select(InfQF, b, 10, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: InfQF chose %v, seed 1 chose %v", seed, got, want)
+		}
+	}
+	r1, _ := Select(RandomQF, b, 10, 1)
+	r2, _ := Select(RandomQF, b, 10, 2)
+	if reflect.DeepEqual(r1, r2) {
+		t.Fatal("RandomQF chose the same set for seeds 1 and 2: the seed does not reach Select")
+	}
+}
+
 func TestWarmUp(t *testing.T) {
 	ds, _ := table1Basis(t)
 	w, err := NewWarmUp(ds, []int{0, 5, 10}, 0)
