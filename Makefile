@@ -16,7 +16,11 @@ vet:
 
 # Static hygiene: go vet plus gofmt as a failing check (gofmt -l lists
 # unformatted files but always exits 0, so fail explicitly when it does).
+# go vet runs twice: on the host, where on amd64 it also checks the
+# assembly's frame offsets against its Go declarations, and for arm64, so
+# the portable fallback of the amd64-only PPR row kernel keeps compiling.
 lint: vet
+	GOARCH=arm64 $(GO) vet ./...
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
@@ -75,15 +79,16 @@ trace-smoke:
 
 # Determinism contracts on their own: parallel precompute and the cached
 # scheme are bit-identical to the sequential paths, the batched push kernel
-# is bit-identical to one push solve per seed, the golden basis,
-# adaptive and baseline runs pin the offline phase and every decision on
-# the benchmark's dataset shape, the interned Jaccard and tf-idf kernels
-# match their map-based references and Cos(tf-idf) builds reproduce to the
-# bit, the job bookkeeping, fast index, Greedy and qualification selection
-# match their reference implementations, and the single-project /v1 API is
-# byte-identical to the default project's /v1/projects/default mount. (Also
-# covered by `race`, but this target names the invariants and runs in
-# seconds.)
+# (its AVX2 and its portable row loop) is bit-identical to one push solve
+# per seed, the golden basis, adaptive and baseline runs pin the offline
+# phase and every decision on the benchmark's dataset shape, the interned
+# Jaccard and tf-idf kernels match their map-based references, Cos(tf-idf)
+# builds reproduce to the bit and every measure builds the same graph at
+# any scoring-pool size, the job bookkeeping, fast index, Greedy and
+# qualification selection match their reference implementations, and the
+# single-project /v1 API is byte-identical to the default project's
+# /v1/projects/default mount. (Also covered by `race`, but this target
+# names the invariants and runs in seconds.)
 parity:
 	$(GO) test -run 'Parity|Golden|Deterministic|MatchesReference' ./internal/ppr ./internal/core ./internal/baseline ./internal/platform ./internal/assign ./internal/qualify ./internal/simgraph ./internal/textsim
 
@@ -98,8 +103,9 @@ bench-test:
 # on a quiet box before committing a perf-sensitive change.
 check: lint parity bench-test store-conformance fuzz-smoke race race-hot load-smoke router-smoke trace-smoke bench-diff-report
 
-# Hot-path benchmarks -> BENCH_hotpath.json (sequential vs parallel
-# precompute, incremental scheme recompute, /assign read throughput).
+# Hot-path benchmarks -> BENCH_hotpath.json (similarity graph, sequential
+# vs parallel precompute, InfQF qualification selection, incremental
+# scheme recompute, /assign read throughput).
 bench:
 	$(GO) run ./cmd/icrowd-bench -out BENCH_hotpath.json
 

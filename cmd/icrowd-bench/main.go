@@ -1,9 +1,9 @@
 // Command icrowd-bench measures the estimation/assignment hot path and
 // writes a machine-readable report, BENCH_hotpath.json by default. It runs
 // the same benchmark bodies as Benchmark{SimilarityGraph,Precompute,
-// ComputeScheme,AssignThroughput} (internal/hotbench) via
-// testing.Benchmark, then records per-benchmark timings plus the headline
-// figure: the speedup of the 8-way parallel PPR precompute over the
+// SelectQualification,ComputeScheme,AssignThroughput} (internal/hotbench)
+// via testing.Benchmark, then records per-benchmark timings plus the
+// headline figure: the speedup of the 8-way parallel PPR precompute over the
 // sequential baseline. The parallel and sequential variants produce
 // bit-identical bases, so the speedup is free of accuracy trade-offs.
 //
@@ -123,6 +123,7 @@ func main() {
 			seq,
 			par,
 			delta,
+			run("BenchmarkSelectQualification", hotbench.SelectQualification()),
 			run("BenchmarkComputeScheme", hotbench.ComputeScheme()),
 			assignOn,
 			assignOff,

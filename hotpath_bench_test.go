@@ -36,6 +36,13 @@ func BenchmarkPrecomputeDelta(b *testing.B) {
 	hotbench.PrecomputeDelta()(b)
 }
 
+// BenchmarkSelectQualification measures InfQF qualification selection
+// (Algorithm 4, q = 10) over the ItemCompare basis, the last offline step
+// of server start-up.
+func BenchmarkSelectQualification(b *testing.B) {
+	hotbench.SelectQualification()(b)
+}
+
 // BenchmarkComputeScheme measures one adaptive round mid-job: a submitted
 // answer dirties the worker's top-set entries and the following request
 // forces the incremental scheme recomputation.

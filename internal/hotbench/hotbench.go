@@ -1,7 +1,8 @@
 // Package hotbench defines the shared benchmark bodies for the
 // estimation/assignment hot path. They are run two ways: as ordinary
 // `go test -bench` benchmarks (hotpath_bench_test.go at the repo root,
-// Benchmark{SimilarityGraph,Precompute,ComputeScheme,AssignThroughput})
+// Benchmark{SimilarityGraph,Precompute,SelectQualification,ComputeScheme,
+// AssignThroughput})
 // and via testing.Benchmark by the icrowd-bench command, which writes the
 // machine-readable BENCH_hotpath.json report. Keeping one copy of each
 // body guarantees the report measures exactly what the named benchmarks
@@ -15,6 +16,7 @@ import (
 
 	"icrowd/internal/core"
 	"icrowd/internal/ppr"
+	"icrowd/internal/qualify"
 	"icrowd/internal/simgraph"
 	"icrowd/internal/task"
 )
@@ -102,6 +104,29 @@ func PrecomputeDelta() func(*testing.B) {
 		for i := 0; i < b.N; i++ {
 			basis.Invalidate(missing)
 			if _, err := basis.SolveMissing(g, []int{missing}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
+// SelectQualification returns the BenchmarkSelectQualification body:
+// Algorithm 4's InfQF selection of q = 10 qualification microtasks over the
+// ItemCompare basis, the step icrowd-server takes between building the
+// basis and opening its listener.
+func SelectQualification() func(*testing.B) {
+	return func(b *testing.B) {
+		_, g, err := Graph()
+		if err != nil {
+			b.Fatal(err)
+		}
+		basis, err := ppr.Precompute(g, ppr.DefaultOptions())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := qualify.Select(qualify.InfQF, basis, 10, 1); err != nil {
 				b.Fatal(err)
 			}
 		}

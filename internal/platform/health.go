@@ -24,8 +24,8 @@ import (
 //     intervals (a wedged sweeper silently stops reclaiming abandoned
 //     assignments).
 //
-// Binaries add deployment-specific checks through Health().AddCheck — the
-// server command registers "basis" for the offline PPR basis.
+// Binaries add deployment-specific checks through Health().AddCheck.
+// icrowd-server adds none: it builds its PPR basis before it listens.
 
 // sweeperStaleFactor is how many sweep intervals may pass without a
 // heartbeat before readiness reports the sweeper stale. Sweeps are quick;

@@ -44,9 +44,13 @@ type batchSolver struct {
 	curMask []uint8 // bit l: the node is in lane l's frontier
 	nxtMask []uint8 // bit l: lane l's push pass touched the node
 
+	// touched has bit j set while node j has a nonzero nxtMask: the absorb
+	// pass walks it word by word, which yields the nodes the push pass
+	// reached in ascending ID without sorting them (N/64 words a pass).
+	touched []uint64
+
 	estIDs []int // nodes with any estMask bit
-	curIDs []int // sorted nodes with any curMask bit
-	nxtIDs []int // nodes touched by the current push pass
+	curIDs []int // ascending nodes with any curMask bit
 }
 
 func newBatchSolver(g *simgraph.Graph) *batchSolver {
@@ -59,6 +63,7 @@ func newBatchSolver(g *simgraph.Graph) *batchSolver {
 		estMask: make([]uint8, n),
 		curMask: make([]uint8, n),
 		nxtMask: make([]uint8, n),
+		touched: make([]uint64, (n+63)/64),
 	}
 }
 
@@ -86,43 +91,49 @@ func (b *batchSolver) solve(seeds []int, o Options, vecs []map[int]float64, res 
 
 	for iter := 1; iter <= o.MaxIter && live != 0; iter++ {
 		b.push(c)
-		sort.Ints(b.nxtIDs)
 		// Absorb pass in ascending j, lane by lane as Solver.Solve does it;
-		// kept entries become the next frontier (curMask was cleared by the
-		// push pass).
+		// kept entries become the next frontier. The push pass has consumed
+		// curIDs and cleared curMask, so kept reuses curIDs' storage.
 		var mass [laneCount]float64
-		kept := b.nxtIDs[:0]
-		for _, j := range b.nxtIDs {
-			touched := b.nxtMask[j]
-			b.nxtMask[j] = 0
-			x, e := &b.nxt[j], &b.est[j]
-			var keep uint8
-			for l := 0; l < laneCount; l++ {
-				if touched&(1<<l) == 0 {
-					continue
-				}
-				v := x[l]
-				if v < o.DropTol && -v < o.DropTol {
-					x[l] = 0
-					continue
-				}
-				e[l] += v
-				if v < 0 {
-					mass[l] -= v
-				} else {
-					mass[l] += v
-				}
-				keep |= 1 << l
-			}
-			if keep == 0 {
+		kept := b.curIDs[:0]
+		for wi, word := range b.touched {
+			if word == 0 {
 				continue
 			}
-			if b.estMask[j] == 0 {
-				b.estIDs = append(b.estIDs, j)
+			b.touched[wi] = 0
+			for ; word != 0; word &= word - 1 {
+				j := wi<<6 | bits.TrailingZeros64(word)
+				reached := b.nxtMask[j]
+				b.nxtMask[j] = 0
+				x, e := &b.nxt[j], &b.est[j]
+				var keep uint8
+				for l := 0; l < laneCount; l++ {
+					if reached&(1<<l) == 0 {
+						continue
+					}
+					v := x[l]
+					if v < o.DropTol && -v < o.DropTol {
+						x[l] = 0
+						continue
+					}
+					e[l] += v
+					if v < 0 {
+						mass[l] -= v
+					} else {
+						mass[l] += v
+					}
+					keep |= 1 << l
+				}
+				if keep == 0 {
+					continue
+				}
+				if b.estMask[j] == 0 {
+					b.estIDs = append(b.estIDs, j)
+				}
+				b.estMask[j] |= keep
+				b.curMask[j] = keep
+				kept = append(kept, j)
 			}
-			b.estMask[j] |= keep
-			b.curMask[j] = keep
-			kept = append(kept, j)
 		}
 		var done uint8
 		for l := range seeds {
@@ -144,7 +155,7 @@ func (b *batchSolver) solve(seeds []int, o Options, vecs []map[int]float64, res 
 			kept = b.dropLanes(kept, b.nxt, done)
 		}
 		b.cur, b.nxt = b.nxt, b.cur
-		b.curIDs, b.nxtIDs = kept, b.curIDs
+		b.curIDs = kept
 	}
 	// Lanes still live exhausted MaxIter with frontier mass undistributed.
 	b.curIDs = b.dropLanes(b.curIDs, b.cur, live)
@@ -195,42 +206,54 @@ func (b *batchSolver) dropLanes(ids []int, vals []lanes, drop uint8) []int {
 }
 
 // push is the batched push pass: every frontier node's lanes are pushed
-// along its CSR row in one walk, ascending i then ascending j as in
-// Solver.push, with the lane loop unrolled by hand (the compiler keeps the
-// eight residuals in registers; a loop over the lanes is ~2x slower). The
-// touched nodes collect, unsorted, in b.nxtIDs, and each one's nxtMask is
-// the union of the masks of the frontier nodes that reached it.
+// along its CSR row, ascending i then ascending j as in Solver.push, by the
+// AVX2 row kernel where the CPU has it and by pushRow otherwise. Every node
+// a row reaches gets the row's lane mask ORed into its nxtMask and, on its
+// first touch of the pass, its bit set in b.touched.
 func (b *batchSolver) push(c float64) {
 	rowPtr, cols, norms := b.csr.RowPtr, b.csr.Cols, b.csr.Norm
-	cur, curMask, nxtMask := b.cur, b.curMask, b.nxtMask
-	nxt := b.nxt[:len(nxtMask)]
-	nxtIDs := b.nxtIDs[:0]
+	cur, curMask := b.cur, b.curMask
+	nxt, nxtMask, touched := b.nxt, b.nxtMask, b.touched
+	avx2 := useAVX2
 	for _, i := range b.curIDs {
 		m := curMask[i]
 		curMask[i] = 0
-		x := &cur[i]
-		x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
-		*x = lanes{}
 		lo, hi := rowPtr[i], rowPtr[i+1]
-		rowCols, rowNorm := cols[lo:hi], norms[lo:hi]
-		for k, j := range rowCols {
-			if nxtMask[j] == 0 {
-				nxtIDs = append(nxtIDs, int(j))
-			}
-			nxtMask[j] |= m
-			w := c * rowNorm[k]
-			p := &nxt[j]
-			p[0] += w * x0
-			p[1] += w * x1
-			p[2] += w * x2
-			p[3] += w * x3
-			p[4] += w * x4
-			p[5] += w * x5
-			p[6] += w * x6
-			p[7] += w * x7
+		if avx2 {
+			pushRowAVX2(cols[lo:hi], norms[lo:hi], c, &cur[i], m, nxt, nxtMask, touched)
+		} else {
+			pushRow(cols[lo:hi], norms[lo:hi], c, &cur[i], m, nxt, nxtMask, touched)
 		}
+		cur[i] = lanes{}
 	}
-	b.nxtIDs = nxtIDs
+}
+
+// pushRow is the portable row kernel and the reference pushRowAVX2 is
+// pinned to: for each k it adds w*x[l] to lane l of nxt[cols[k]], with
+// w = c*norms[k] rounded once as in Solver.push, ORs m into
+// nxtMask[cols[k]] and marks a node's first touch in the touched bitset.
+// The lane loop is unrolled by hand (the compiler keeps the eight residuals
+// in registers; a loop over the lanes is ~2x slower).
+func pushRow(cols []int32, norms []float64, c float64, x *lanes, m uint8, nxt []lanes, nxtMask []uint8, touched []uint64) {
+	x0, x1, x2, x3, x4, x5, x6, x7 := x[0], x[1], x[2], x[3], x[4], x[5], x[6], x[7]
+	nxt = nxt[:len(nxtMask)]
+	norms = norms[:len(cols)]
+	for k, j := range cols {
+		if nxtMask[j] == 0 {
+			touched[j>>6] |= 1 << (j & 63)
+		}
+		nxtMask[j] |= m
+		w := c * norms[k]
+		p := &nxt[j]
+		p[0] += w * x0
+		p[1] += w * x1
+		p[2] += w * x2
+		p[3] += w * x3
+		p[4] += w * x4
+		p[5] += w * x5
+		p[6] += w * x6
+		p[7] += w * x7
+	}
 }
 
 // laneBatches splits seeds into batches of up to laneCount seeds of one

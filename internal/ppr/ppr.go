@@ -483,8 +483,7 @@ func (b *Basis) SolveResult(i int) Result { return b.res[i] }
 
 // Converged reports whether every *solved* basis vector reached Tol.
 // Anything combined through an unconverged vector inherits its truncation
-// error, so callers gating on basis quality should check this (the server's
-// readiness probe does).
+// error, so callers gating on basis quality should check this.
 func (b *Basis) Converged() bool {
 	for i, v := range b.vecs {
 		if v != nil && !b.res[i].Converged {

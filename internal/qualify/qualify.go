@@ -6,6 +6,7 @@ package qualify
 
 import (
 	"errors"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -67,7 +68,9 @@ func InfluenceSoft(b *ppr.Basis, qual []int) float64 {
 // individual domains, as Section 6.3.1 describes.
 //
 // Each task's coverage row is built once per call, ascending by covered
-// task: the order every gain is summed in.
+// task (the order every gain is summed in): the vector's entries go into a
+// dense scratch array and a node bitset, and the set words of the bitset
+// are walked in order, so no row is sorted.
 func SelectGreedy(b *ppr.Basis, q int) ([]int, error) {
 	if q < 1 {
 		return nil, errors.New("qualify: q must be >= 1")
@@ -81,21 +84,27 @@ func SelectGreedy(b *ppr.Basis, q int) ([]int, error) {
 	}
 	rows := make([][]coverage, n)
 	buf := make([]coverage, 0, b.NNZ())
-	var js []int
+	dense := make([]float64, n)
+	member := make([]uint64, (n+63)/64)
 	for t := range rows {
-		vec := b.Vec(t)
-		js = js[:0]
-		for j := range vec {
-			js = append(js, j)
+		lo, hi := len(member), 0 // words of member the row sets
+		for j, p := range b.Vec(t) {
+			dense[j] = p
+			member[j>>6] |= 1 << (j & 63)
+			lo, hi = min(lo, j>>6), max(hi, j>>6+1)
 		}
-		sort.Ints(js)
 		start := len(buf)
-		for _, j := range js {
-			w := vec[j] / restart
-			if w > 1 {
-				w = 1
+		for wi := lo; wi < hi; wi++ {
+			word := member[wi]
+			member[wi] = 0
+			for ; word != 0; word &= word - 1 {
+				j := wi<<6 | bits.TrailingZeros64(word)
+				w := dense[j] / restart
+				if w > 1 {
+					w = 1
+				}
+				buf = append(buf, coverage{j, w})
 			}
-			buf = append(buf, coverage{j, w})
 		}
 		rows[t] = buf[start:]
 	}

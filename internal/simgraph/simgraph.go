@@ -10,7 +10,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Edge is an undirected weighted edge between two tasks.
@@ -39,8 +43,14 @@ var ErrBadEdge = errors.New("simgraph: invalid edge")
 // (i, j) pairs keep the maximum similarity. Edges with non-positive
 // similarity are dropped; out-of-range endpoints or self-loops error.
 func FromEdges(n int, edges []Edge) (*Graph, error) {
+	return fromEdges(n, edges, make([]Edge, 0, len(edges)))
+}
+
+// fromEdges is FromEdges collecting the normalized edges in dst, which may
+// be edges[:0]: Build hands over its own edge list that way, sparing a copy.
+func fromEdges(n int, edges, dst []Edge) (*Graph, error) {
 	// Normalize to i < j, dropping non-positive similarities; validate.
-	norm := make([]Edge, 0, len(edges))
+	norm := dst
 	for _, e := range edges {
 		if e.I < 0 || e.I >= n || e.J < 0 || e.J >= n {
 			return nil, fmt.Errorf("%w: (%d,%d) with n=%d", ErrBadEdge, e.I, e.J, n)
@@ -136,7 +146,10 @@ func (r *rowSorter) Swap(i, j int) {
 	r.sims[i], r.sims[j] = r.sims[j], r.sims[i]
 }
 
-// Metric scores the similarity of two tasks by ID.
+// Metric scores the similarity of two tasks by ID. Build calls Sim from
+// several goroutines at once, so an implementation must be safe for
+// concurrent use; the metrics of this package read only state fixed at
+// construction.
 type Metric interface {
 	// Sim returns the similarity of tasks i and j in [0, 1].
 	Sim(i, j int) float64
@@ -152,23 +165,44 @@ func (f MetricFunc) Sim(i, j int) float64 { return f(i, j) }
 // with the metric and keeping pairs with similarity >= threshold (Section
 // 3.3). maxNeighbors > 0 caps each node's adjacency to its top-m most
 // similar neighbors (the knob of Figure 10); 0 means unbounded.
+//
+// The rows (task i against every j > i) are scored by a pool of GOMAXPROCS
+// goroutines that claim rows off a shared cursor. Each row's edges go into
+// their own slice, and the slices are joined in row order, so the edge
+// list, and with it the graph, is the same for any pool size.
 func Build(n int, m Metric, threshold float64, maxNeighbors int) (*Graph, error) {
 	if threshold <= 0 {
 		return nil, errors.New("simgraph: threshold must be positive")
 	}
-	var edges []Edge
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			s := m.Sim(i, j)
-			if s >= threshold {
-				edges = append(edges, Edge{I: i, J: j, Sim: s})
+	rows := make([][]Edge, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var buf []Edge // this goroutine's rows, each a subslice
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				start := len(buf)
+				for j := i + 1; j < n; j++ {
+					if s := m.Sim(i, j); s >= threshold {
+						buf = append(buf, Edge{I: i, J: j, Sim: s})
+					}
+				}
+				rows[i] = buf[start:]
 			}
-		}
+		}()
 	}
+	wg.Wait()
+	edges := slices.Concat(rows...)
 	if maxNeighbors > 0 {
 		edges = capNeighbors(n, edges, maxNeighbors)
 	}
-	return FromEdges(n, edges)
+	return fromEdges(n, edges, edges[:0])
 }
 
 // capNeighbors keeps an edge only if it ranks within the top-m similarities

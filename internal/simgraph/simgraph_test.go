@@ -3,6 +3,8 @@ package simgraph
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -327,5 +329,54 @@ func TestTFIDFMetricDeterministic(t *testing.T) {
 	}
 	if differ > 0 {
 		t.Fatalf("%d pair similarities differ between two constructions", differ)
+	}
+}
+
+// TestBuildDeterministicAcrossPoolSizes builds the graph of every measure
+// at GOMAXPROCS 1 and 4 (the pool size Build's scoring pass takes): the
+// CSR must be the same bit for bit. The textual measures score
+// ItemCompare, Euclidean scores POI feature vectors; the Jaccard case is
+// also built with a neighbour cap, which sees the edge list in the order
+// the pool joined it.
+func TestBuildDeterministicAcrossPoolSizes(t *testing.T) {
+	itemCompare := task.GenerateItemCompare(1)
+	cases := []struct {
+		kind         MeasureKind
+		ds           *task.Dataset
+		threshold    float64
+		maxNeighbors int
+	}{
+		{MeasureJaccard, itemCompare, 0.25, 0},
+		{MeasureJaccard, itemCompare, 0.25, 5},
+		{MeasureTFIDF, itemCompare, 0.25, 0},
+		{MeasureTopic, itemCompare, 0.5, 0},
+		{MeasureEditDist, itemCompare, 0.5, 0},
+		{MeasureEuclid, task.GeneratePOI(30, 1), 0.8, 0},
+	}
+	for _, c := range cases {
+		m, err := MetricFor(c.kind, c.ds, 1)
+		if err != nil {
+			t.Fatalf("%s: %v", c.kind, err)
+		}
+		build := func(procs int) CSR {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			g, err := Build(c.ds.Len(), m, c.threshold, c.maxNeighbors)
+			if err != nil {
+				t.Fatalf("%s: %v", c.kind, err)
+			}
+			return g.CSR()
+		}
+		one, four := build(1), build(4)
+		if len(one.Cols) == 0 {
+			t.Fatalf("%s at threshold %v: no edges", c.kind, c.threshold)
+		}
+		if !slices.Equal(one.RowPtr, four.RowPtr) || !slices.Equal(one.Cols, four.Cols) {
+			t.Fatalf("%s cap %d: adjacency differs between GOMAXPROCS 1 and 4", c.kind, c.maxNeighbors)
+		}
+		for k := range one.Norm {
+			if math.Float64bits(one.Norm[k]) != math.Float64bits(four.Norm[k]) {
+				t.Fatalf("%s cap %d: Norm[%d] %v at GOMAXPROCS 1, %v at 4", c.kind, c.maxNeighbors, k, one.Norm[k], four.Norm[k])
+			}
+		}
 	}
 }
